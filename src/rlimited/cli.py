@@ -365,7 +365,8 @@ def main(argv=None) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError,
+            json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -340,7 +340,7 @@ def triangle_scaling_invert(spec: TriangleSpec, m: int, x, y, value_pair):
 
 
 # --------------------------------------------------------------------------
-# wedge cascade and the equilateral assembly
+# cascade engine, error profiles and group copies
 
 
 def _difference_widths(target_box):
@@ -348,10 +348,106 @@ def _difference_widths(target_box):
     return tuple(float(hi - lo) for lo, hi in target_box)
 
 
-def _profile_grid_nd(widths, n):
-    axes = [np.linspace(-w, w, n) for w in widths]
+def _error_profile(surrogate, exact, box, grid_n: int) -> dict:
+    """max |exact - surrogate| on a grid_n^d tensor grid over box; both
+    callables take an (n, d) point array."""
+    box = [[float(lo), float(hi)] for lo, hi in box]
+    axes = [np.linspace(lo, hi, grid_n) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    err = np.max(np.abs(np.asarray(exact(pts)) - surrogate(pts)))
+    return {"max_err": float(err), "box": box, "grid_n": int(grid_n)}
+
+
+def _with_profile(q: QuadratureND, exact, target_box,
+                  profile_grid: int) -> QuadratureND:
+    """Record the error profile over the difference box of target_box
+    (skipped when profile_grid is 0)."""
+    if profile_grid:
+        box = [[-w, w] for w in _difference_widths(target_box)]
+        q.provenance["error_profile"] = _error_profile(
+            q.eval_sum, exact, box, profile_grid)
+    return q
+
+
+def _cascade(scale: float, stages, node_map):
+    """Weights and nodes of a nested cascade of 1D rules.
+
+    stages[i] maps the node coordinates of the stages before it to the
+    rule of stage i: a Quadrature1D or a (weights, nodes) pair whose
+    weights may be a tuple of factors.  A leaf weight is scale times its
+    stage factors multiplied left to right; node_map turns the per-stage
+    coordinate columns into nodes.
+    """
+    w = np.array([scale], dtype=float)
+    cols = []
+    for stage in stages:
+        ws, ns, take = [], [], []
+        for i, wi in enumerate(w):
+            rule = stage(*(c[i] for c in cols))
+            factors, nodes = ((rule.weights, rule.nodes)
+                              if isinstance(rule, Quadrature1D) else rule)
+            for f in factors if isinstance(factors, tuple) else (factors,):
+                wi = wi * f
+            nodes = np.asarray(nodes, dtype=float)
+            ws.append(np.broadcast_to(wi, len(nodes)))
+            ns.append(nodes)
+            take += [i] * len(nodes)
+        cols = [c[take] for c in cols] + [np.concatenate(ns)]
+        w = np.concatenate(ws)
+    return w, node_map(*cols)
+
+
+def _sine(tau):
+    """sqrt(1 - tau^2), clipped at zero."""
+    return np.sqrt(np.maximum(0.0, 1.0 - tau * tau))
+
+
+def _azimuth_ring(M_t: int):
+    """Equiangular circle rule: the four sign copies of each Chebyshev
+    (tau, sqrt(1-tau^2)) pair, 4 M_t points each weighted pi/(2 M_t)."""
+    tau = np.asarray(chebyshev_rule_for_j0(M_t).nodes, dtype=float)
+    signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    az = (np.stack([tau, _sine(tau)], axis=-1)[:, None, :] * signs)
+    return np.pi / (2.0 * M_t), az.reshape(-1, 2)
+
+
+def _group_copies(base: QuadratureND, group, placement, piece_kernel,
+                  construction: str, target_box,
+                  profile_grid: int) -> QuadratureND:
+    """Copy a piece rule through a rotation group (after an optional
+    placement); the node multiset is group invariant by construction.
+
+    The profile sums the piece's closed form at pts @ (R placement); every
+    map is a rotation, so no |det| factor enters.
+    """
+    placed, maps = base.nodes, group
+    if placement is not None:
+        placed = placed @ placement.T
+        maps = [R @ placement for R in group]
+    q = QuadratureND(
+        weights=np.concatenate([base.weights] * len(group)),
+        nodes=np.concatenate([placed @ R.T for R in group]),
+        region_tag=union_region([transformed_region(base.region_tag, A)
+                                 for A in maps]),
+        symmetry_group=[R.copy() for R in group],
+        provenance={"construction": construction,
+                    "piece": dict(base.provenance)})
+
+    def exact(pts):
+        out = np.zeros(len(pts), dtype=complex)
+        for A in maps:
+            out += piece_kernel(pts @ A)
+        return out
+    return _with_profile(q, exact, target_box, profile_grid)
+
+
+def _box_provenance(target_box) -> list:
+    return [list(map(float, bx)) for bx in target_box]
+
+
+# --------------------------------------------------------------------------
+# wedge cascade and the equilateral assembly
 
 
 def triangle_quadrature(spec: TriangleSpec, M_outer: int, M_inner: int,
@@ -367,29 +463,17 @@ def triangle_quadrature(spec: TriangleSpec, M_outer: int, M_inner: int,
     Wx, Wy = _difference_widths(target_box)
     outer = one_sided_unit_rule(
         2.0 * np.pi * spec.dp * (Wx + spec.s * Wy), M_outer, power=1)
-    nodes, weights = [], []
-    for Aj, vj in zip(outer.weights, outer.nodes):
-        inner = symmetric_sinc_rule(
-            2.0 * np.pi * spec.dp * spec.s * vj * Wy, M_inner)
-        kx = spec.dp * vj
-        for cj, uj in zip(inner.weights, inner.nodes):
-            nodes.append((kx, spec.dp * spec.s * vj * uj))
-            weights.append(spec.area * Aj * cj)
-    q = QuadratureND(weights=np.asarray(weights), nodes=np.asarray(nodes),
+    weights, nodes = _cascade(
+        spec.area, [lambda: outer, lambda v: symmetric_sinc_rule(
+            2.0 * np.pi * spec.dp * spec.s * v * Wy, M_inner)],
+        lambda v, u: np.stack([spec.dp * v, spec.dp * spec.s * v * u], -1))
+    q = QuadratureND(weights=weights, nodes=nodes,
                      region_tag=triangle_region(spec.dp, spec.s),
                      provenance={"construction": "wedge-cascade",
                                  "M_outer": M_outer, "M_inner": M_inner,
-                                 "target_box": [list(map(float, bx))
-                                                for bx in target_box]})
-    if profile_grid:
-        pts = _profile_grid_nd((Wx, Wy), profile_grid)
-        exact = k_triangle(spec, pts[:, 0], pts[:, 1])
-        err = np.max(np.abs(exact - q.eval_sum(pts)))
-        q.provenance["error_profile"] = {
-            "max_err": float(err),
-            "box": [[-Wx, Wx], [-Wy, Wy]],
-            "grid_n": profile_grid}
-    return q
+                                 "target_box": _box_provenance(target_box)})
+    return _with_profile(q, lambda p: k_triangle(spec, *p.T),
+                         target_box, profile_grid)
 
 
 def _rot2(angle: float) -> np.ndarray:
@@ -407,30 +491,12 @@ def equilateral_symmetric_quadrature(M_outer: int, M_inner: int,
     s = sqrt(3) (half-side over inradius), area sqrt(3)/12 each.
     """
     spec = TriangleSpec(dp=math.sqrt(3.0) / 6.0, s=math.sqrt(3.0))
-    rots = [_rot2(2.0 * np.pi * j / 3.0) for j in range(3)]
     base = triangle_quadrature(spec, M_outer, M_inner, target_box,
                                profile_grid=0)
-    nodes = np.concatenate([base.nodes @ R.T for R in rots])
-    weights = np.concatenate([base.weights] * 3)
-    region = union_region([transformed_region(
-        triangle_region(spec.dp, spec.s), R) for R in rots])
-    q = QuadratureND(weights=weights, nodes=nodes, region_tag=region,
-                     symmetry_group=[R.copy() for R in rots],
-                     provenance={"construction": "equilateral-three-wedges",
-                                 "piece": dict(base.provenance)})
-    if profile_grid:
-        Wx, Wy = _difference_widths(target_box)
-        pts = _profile_grid_nd((Wx, Wy), profile_grid)
-        exact = np.zeros(len(pts), dtype=complex)
-        for R in rots:
-            back = pts @ R  # (R^T)^T; |det R| = 1
-            exact += k_triangle(spec, back[:, 0], back[:, 1])
-        err = np.max(np.abs(exact - q.eval_sum(pts)))
-        q.provenance["error_profile"] = {
-            "max_err": float(err),
-            "box": [[-Wx, Wx], [-Wy, Wy]],
-            "grid_n": profile_grid}
-    return q
+    return _group_copies(
+        base, [_rot2(2.0 * np.pi * j / 3.0) for j in range(3)], None,
+        lambda p: k_triangle(spec, *p.T), "equilateral-three-wedges",
+        target_box, profile_grid)
 
 
 # --------------------------------------------------------------------------
@@ -532,34 +598,25 @@ def tetra_quadrature(spec: TetraSpec, M1: int, M2: int, M3: int,
     span = Wy + spec.s * Wx
     outer = one_sided_unit_rule(
         2.0 * np.pi * spec.h * (Wz + spec.dp * span), M1, power=2)
-    nodes, weights = [], []
-    vol3 = spec.h ** 3 * spec.dp ** 2 * spec.s
-    for Aj, wj in zip(outer.weights, outer.nodes):
-        middle = one_sided_unit_rule(
-            2.0 * np.pi * spec.h * spec.dp * wj * span, M2, power=1)
-        for Bi, vi in zip(middle.weights, middle.nodes):
-            inner = symmetric_sinc_rule(
-                2.0 * np.pi * spec.h * spec.dp * spec.s * wj * vi * Wx, M3)
-            ky = spec.dp * spec.h * wj * vi
-            kz = spec.h * wj
-            for cl, ul in zip(inner.weights, inner.nodes):
-                nodes.append((spec.s * ky * ul, ky, kz))
-                weights.append(vol3 * Aj * Bi * cl)
-    q = QuadratureND(weights=np.asarray(weights), nodes=np.asarray(nodes),
+
+    def node_map(w, v, u):
+        ky = spec.dp * spec.h * w * v
+        return np.stack([spec.s * ky * u, ky, spec.h * w], -1)
+
+    weights, nodes = _cascade(spec.h ** 3 * spec.dp ** 2 * spec.s, [
+        lambda: outer,
+        lambda w: one_sided_unit_rule(
+            2.0 * np.pi * spec.h * spec.dp * w * span, M2, power=1),
+        lambda w, v: symmetric_sinc_rule(
+            2.0 * np.pi * spec.h * spec.dp * spec.s * w * v * Wx, M3)],
+        node_map)
+    q = QuadratureND(weights=weights, nodes=nodes,
                      region_tag=tetrahedron_region(spec.h, spec.dp, spec.s),
                      provenance={"construction": "tetra-cascade",
                                  "M1": M1, "M2": M2, "M3": M3,
-                                 "target_box": [list(map(float, bx))
-                                                for bx in target_box]})
-    if profile_grid:
-        pts = _profile_grid_nd((Wx, Wy, Wz), profile_grid)
-        exact = k_tetra(spec, pts[:, 0], pts[:, 1], pts[:, 2])
-        err = np.max(np.abs(exact - q.eval_sum(pts)))
-        q.provenance["error_profile"] = {
-            "max_err": float(err),
-            "box": [[-Wx, Wx], [-Wy, Wy], [-Wz, Wz]],
-            "grid_n": profile_grid}
-    return q
+                                 "target_box": _box_provenance(target_box)})
+    return _with_profile(q, lambda p: k_tetra(spec, *p.T), target_box,
+                         profile_grid)
 
 
 # --------------------------------------------------------------------------
@@ -653,31 +710,10 @@ def tetra_symmetric_quadrature(M1: int, M2: int, M3: int,
     """
     spec = sub_tetra_spec()
     base = tetra_quadrature(spec, M1, M2, M3, target_box, profile_grid=0)
-    group = tetra_symmetry_group()
-    placed = base.nodes @ SUB_TETRA_PLACEMENT.T
-    nodes = np.concatenate([placed @ R.T for R in group])
-    weights = np.concatenate([base.weights] * len(group))
-    parts = [transformed_region(
-        tetrahedron_region(spec.h, spec.dp, spec.s),
-        R @ SUB_TETRA_PLACEMENT) for R in group]
-    q = QuadratureND(weights=weights, nodes=nodes,
-                     region_tag=union_region(parts),
-                     symmetry_group=[R.copy() for R in group],
-                     provenance={"construction": "tetra-twelve-pieces",
-                                 "piece": dict(base.provenance)})
-    if profile_grid:
-        Wx, Wy, Wz = _difference_widths(target_box)
-        pts = _profile_grid_nd((Wx, Wy, Wz), profile_grid)
-        exact = np.zeros(len(pts), dtype=complex)
-        for R in group:
-            back = pts @ (R @ SUB_TETRA_PLACEMENT)
-            exact += k_tetra(spec, back[:, 0], back[:, 1], back[:, 2])
-        err = np.max(np.abs(exact - q.eval_sum(pts)))
-        q.provenance["error_profile"] = {
-            "max_err": float(err),
-            "box": [[-Wx, Wx], [-Wy, Wy], [-Wz, Wz]],
-            "grid_n": profile_grid}
-    return q
+    return _group_copies(
+        base, tetra_symmetry_group(), SUB_TETRA_PLACEMENT,
+        lambda p: k_tetra(spec, *p.T), "tetra-twelve-pieces", target_box,
+        profile_grid)
 
 
 # --------------------------------------------------------------------------
@@ -885,14 +921,6 @@ def tilde_k_cone(spec: ConeSpec, j1_rule: Quadrature1D, t, r):
     return complex(out) if out.ndim == 0 else out
 
 
-def bessel_expansion_fidelity(j1_rule: Quadrature1D) -> dict:
-    """max gamma_m and the node/coefficient table, for reporting."""
-    alpha, gamma = j1_expansion_from_rule(j1_rule)
-    return {"max_gamma": float(np.max(gamma)),
-            "gamma": [float(g) for g in gamma],
-            "alpha": [float(a) for a in alpha]}
-
-
 def _x_overlap(gamma: float) -> float:
     """int_0^inf J1(u) cosinc(gamma u) du / u, closed form.
 
@@ -969,11 +997,7 @@ def cone_quadrature(spec: ConeSpec, M_w: int, M_p: int, M_t: int,
                     target_box=((-0.5, 0.5),) * 3,
                     profile_grid: int = 7) -> QuadratureND:
     """Cascade for the n=2 cone: symmetric frequency rule weighted w^2,
-    per-frequency radial rule weighted rho, equiangular azimuth.
-
-    The azimuth uses the Chebyshev-node rule for the circle average: the
-    four sign copies of each (tau, sqrt(1-tau^2)) pair form 4 M_t
-    equiangular points, each weighted pi/(2 M_t).
+    per-frequency radial rule weighted rho, equiangular azimuth ring.
     """
     if spec.n != 2:
         raise ValueError("cascade implemented for the n=2 cone")
@@ -981,40 +1005,26 @@ def cone_quadrature(spec: ConeSpec, M_w: int, M_p: int, M_t: int,
     Wt, Wx, Wy = _difference_widths(target_box)
     Wr = math.hypot(Wx, Wy)
     outer = symmetric_sinc_rule(2.0 * np.pi * w0 * (Wt + p * Wr), M_w)
-    cheb = chebyshev_rule_for_j0(M_t)
-    az = []
-    for tau in cheb.nodes:
-        sig = math.sqrt(max(0.0, 1.0 - tau * tau))
-        for sx in (1.0, -1.0):
-            for sy in (1.0, -1.0):
-                az.append((sx * tau, sy * sig))
-    az = np.asarray(az)
-    az_w = np.pi / (2.0 * M_t)
-    nodes, weights = [], []
-    pref = w0 ** 3 * p ** 2
-    for Aj, Om in zip(outer.weights, outer.nodes):
-        radial = one_sided_unit_rule(
-            2.0 * np.pi * w0 * abs(Om) * p * Wr, M_p, power=1)
-        for Bi, rho in zip(radial.weights, radial.nodes):
-            kr = w0 * abs(Om) * p * rho
-            for ax, ay in az:
-                nodes.append((w0 * Om, kr * ax, kr * ay))
-                weights.append(pref * Aj * Om * Om * Bi * az_w)
-    q = QuadratureND(weights=np.asarray(weights), nodes=np.asarray(nodes),
+    ring = _azimuth_ring(M_t)
+
+    def node_map(Om, rho, az):
+        kr = w0 * np.abs(Om) * p * rho
+        return np.stack([w0 * Om, kr * az[:, 0], kr * az[:, 1]], -1)
+
+    # w^2 enters as two factors right after A (w0^3 p^2 A w w B az_w); this
+    # order keeps the weights' rounding at every omega0, pmax
+    weights, nodes = _cascade(w0 ** 3 * p ** 2, [
+        lambda: ((outer.weights, outer.nodes, outer.nodes), outer.nodes),
+        lambda Om: one_sided_unit_rule(
+            2.0 * np.pi * w0 * abs(Om) * p * Wr, M_p, power=1),
+        lambda Om, rho: ring], node_map)
+    q = QuadratureND(weights=weights, nodes=nodes,
                      region_tag=cone_region(w0, p, 2),
                      provenance={"construction": "cone-cascade",
                                  "M_w": M_w, "M_p": M_p, "M_t": M_t,
-                                 "target_box": [list(map(float, bx))
-                                                for bx in target_box]})
-    if profile_grid:
-        pts = _profile_grid_nd((Wt, Wx, Wy), profile_grid)
-        exact = k_cone(spec, pts[:, 0], pts[:, 1:])
-        err = np.max(np.abs(exact - q.eval_sum(pts)))
-        q.provenance["error_profile"] = {
-            "max_err": float(err),
-            "box": [[-Wt, Wt], [-Wx, Wx], [-Wy, Wy]],
-            "grid_n": profile_grid}
-    return q
+                                 "target_box": _box_provenance(target_box)})
+    return _with_profile(q, lambda pts: k_cone(spec, pts[:, 0], pts[:, 1:]),
+                         target_box, profile_grid)
 
 
 # --------------------------------------------------------------------------
@@ -1044,38 +1054,20 @@ def ball_quadrature(k_max: float, M_r: int, M_th: int, M_t: int,
     Wx, Wy, Wz = _difference_widths(target_box)
     WR = math.sqrt(Wx * Wx + Wy * Wy + Wz * Wz)
     radial = one_sided_unit_rule(2.0 * np.pi * k_max * WR, M_r, power=2)
-    cheb = chebyshev_rule_for_j0(M_t)
-    az = []
-    for tau in cheb.nodes:
-        sig = math.sqrt(max(0.0, 1.0 - tau * tau))
-        for sx in (1.0, -1.0):
-            for sy in (1.0, -1.0):
-                az.append((sx * tau, sy * sig))
-    az = np.asarray(az)
-    az_w = np.pi / (2.0 * M_t)
-    nodes, weights = [], []
-    pref = k_max ** 3
-    for Aj, rho in zip(radial.weights, radial.nodes):
-        polar = symmetric_sinc_rule(2.0 * np.pi * k_max * rho * WR, M_th)
-        for Ci, tau in zip(polar.weights, polar.nodes):
-            sig = math.sqrt(max(0.0, 1.0 - tau * tau))
-            for ax, ay in az:
-                nodes.append((k_max * rho * sig * ax,
-                              k_max * rho * sig * ay,
-                              k_max * rho * tau))
-                weights.append(pref * Aj * Ci * az_w)
-    q = QuadratureND(weights=np.asarray(weights), nodes=np.asarray(nodes),
+    ring = _azimuth_ring(M_t)
+
+    def node_map(rho, tau, az):
+        kt = k_max * rho * _sine(tau)
+        return np.stack([kt * az[:, 0], kt * az[:, 1], k_max * rho * tau], -1)
+
+    weights, nodes = _cascade(k_max ** 3, [
+        lambda: radial,
+        lambda rho: symmetric_sinc_rule(2.0 * np.pi * k_max * rho * WR, M_th),
+        lambda rho, tau: ring], node_map)
+    q = QuadratureND(weights=weights, nodes=nodes,
                      region_tag=ball_region(k_max),
                      provenance={"construction": "ball-cascade",
                                  "M_r": M_r, "M_th": M_th, "M_t": M_t,
-                                 "target_box": [list(map(float, bx))
-                                                for bx in target_box]})
-    if profile_grid:
-        pts = _profile_grid_nd((Wx, Wy, Wz), profile_grid)
-        exact = k_ball(k_max, pts)
-        err = np.max(np.abs(exact - q.eval_sum(pts)))
-        q.provenance["error_profile"] = {
-            "max_err": float(err),
-            "box": [[-Wx, Wx], [-Wy, Wy], [-Wz, Wz]],
-            "grid_n": profile_grid}
-    return q
+                                 "target_box": _box_provenance(target_box)})
+    return _with_profile(q, lambda pts: k_ball(k_max, pts), target_box,
+                         profile_grid)

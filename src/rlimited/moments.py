@@ -163,13 +163,16 @@ def symmetrize(q: Quadrature1D, B: float) -> Quadrature1D:
     """
     if q.symmetric:
         raise ValueError("rule is already symmetric")
-    nodes = np.asarray(q.nodes, dtype=float)
+    nodes, weights = _real_if_close(q.nodes), _real_if_close(q.weights)
+    if np.iscomplexobj(nodes) or np.iscomplexobj(weights):
+        raise ValueError("cannot symmetrize a rule with complex weights "
+                         "or nodes")
+    nodes, weights = nodes.astype(float), weights.astype(float)
     at_zero = np.abs(nodes) <= 1e-15
     pos = nodes[~at_zero]
-    wpos = np.asarray(q.weights, dtype=float)[~at_zero]
+    wpos = weights[~at_zero]
     full_nodes = np.concatenate([-pos[::-1], nodes[at_zero], pos])
-    full_w = np.concatenate([B * wpos[::-1],
-                             2.0 * B * np.asarray(q.weights)[at_zero],
+    full_w = np.concatenate([B * wpos[::-1], 2.0 * B * weights[at_zero],
                              B * wpos])
     prov = dict(q.provenance)
     prov["symmetrized_band"] = B

@@ -21,7 +21,8 @@ from .sincapprox import CosineSumApprox, error_epsilon_B
 from .kernels import (Region, QuadratureND, TriangleSpec, TetraSpec,
                       ConeSpec, interval_region, region_contains,
                       region_to_json, region_from_json,
-                      k_triangle, k_tetra, k_cone, k_ball)
+                      k_triangle, k_tetra, k_cone, k_ball,
+                      _error_profile)
 
 __all__ = [
     "ExpSumKernel", "ProjectionResult", "expsum_kernel", "region_dim",
@@ -463,21 +464,16 @@ def _grid_fhat(f: SampledField, xi: np.ndarray):
 def _coverage_check(kernel: ExpSumKernel, eval_pts: np.ndarray,
                     support_box) -> None:
     """Every difference (eval - support) must map inside the kernel's
-    verified base box under B^T; linearity puts the extremes at corners."""
+    verified base box under B^T."""
     prof = kernel.error_profile
     if not prof:
         raise ValueError("kernel carries no error profile to verify "
                          "coverage against")
-    lo = eval_pts.min(axis=0) - np.array([hi for lo_, hi in support_box])
-    hi = eval_pts.max(axis=0) - np.array([lo_ for lo_, hi_ in support_box])
-    d = eval_pts.shape[1]
-    corners = np.array([[(lo, hi)[(i >> j) & 1][j] for j in range(d)]
-                        for i in range(1 << d)])
-    mapped = corners @ kernel.band
+    need = np.asarray(needed_base_box(kernel, eval_pts, support_box))
     box = np.asarray(prof["box"], dtype=float)
     slack = 1e-9 * np.maximum(1.0, np.abs(box).max())
-    if np.any(mapped < box[None, :, 0] - slack) or \
-            np.any(mapped > box[None, :, 1] + slack):
+    if np.any(need[:, 0] < box[:, 0] - slack) or \
+            np.any(need[:, 1] > box[:, 1] + slack):
         raise ValueError("kernel error profile does not cover the "
                          "difference set of evaluation points and support")
 
@@ -485,7 +481,8 @@ def _coverage_check(kernel: ExpSumKernel, eval_pts: np.ndarray,
 def needed_base_box(kernel: ExpSumKernel, eval_pts: np.ndarray,
                     support_box) -> list:
     """Base-coordinate box that covers every evaluation-minus-support
-    difference once mapped through B^T."""
+    difference once mapped through B^T; linearity puts the extremes at
+    corners."""
     eval_pts = np.atleast_2d(np.asarray(eval_pts, dtype=float))
     lo = eval_pts.min(axis=0) - np.array([hi for _, hi in support_box])
     hi = eval_pts.max(axis=0) - np.array([lo_ for lo_, _ in support_box])
@@ -505,19 +502,15 @@ def measure_kernel_profile(kernel: ExpSumKernel, base_box,
     on a tensor grid over base_box (base coordinates, i.e. the range of
     B^T(x - s) differences the kernel must cover).
     """
-    box = [[float(lo), float(hi)] for lo, hi in base_box]
-    axes = [np.linspace(lo, hi, grid_n) for lo, hi in box]
-    grids = np.meshgrid(*axes, indexing="ij")
-    Y = np.stack([g.ravel() for g in grids], axis=-1)
     det = kernel.det_band()
-    exact = det * region_kernel_exact(
-        kernel.region, Y if Y.shape[1] > 1 else Y[:, 0])
-    X = Y @ np.linalg.inv(kernel.band)
-    err = float(np.max(np.abs(kernel.eval(X) - np.asarray(exact))))
+    inv = np.linalg.inv(kernel.band)
+    prof = _error_profile(
+        lambda Y: kernel.eval(Y @ inv),
+        lambda Y: det * region_kernel_exact(kernel.region, Y),
+        base_box, grid_n)
     return ExpSumKernel(weights=kernel.weights, nodes=kernel.nodes,
                         region=kernel.region, band=kernel.band,
-                        error_profile={"max_err": err, "box": box,
-                                       "grid_n": int(grid_n)})
+                        error_profile=prof)
 
 
 def _eval_points(x, d: int) -> tuple:

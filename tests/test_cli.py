@@ -55,9 +55,16 @@ def test_quad_region_triangle(tmp_path, capsys):
 def test_quad_bad_input_exit_2(tmp_path, capsys):
     assert main(["quad", "--out", str(tmp_path)]) == 2
     assert main(["quad", "--preset", "bogus", "--out", str(tmp_path)]) == 2
+    assert main(["quad", "--preset", "sinc_gauss", "--M", "4", "--symmetric",
+                 "--out", str(tmp_path)]) == 2
+    assert main(["quad", "--preset", "gauss_cos", "--M", "100",
+                 "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "pass --preset or --region" in err
     assert "unknown preset" in err
+    assert "error: cannot symmetrize a rule with complex" in err
+    assert "error: preset 'gauss_cos' overflows" in err
+    assert "Traceback" not in err
 
 
 def test_quad_rerun_is_byte_identical(tmp_path):

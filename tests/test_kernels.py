@@ -9,6 +9,7 @@ from scipy.special import j1 as bessel_j1
 from rlimited import kernels as K
 from rlimited.moments import (Quadrature1D, preset_moments,
                               solve_moment_problem)
+from rlimited.projection import expsum_kernel, measure_kernel_profile
 
 TRI = K.TriangleSpec(0.8, 0.7)
 TET = K.TetraSpec(1.0, 0.8, 0.7)
@@ -287,6 +288,40 @@ def test_cascade_profiles_and_containment():
                            profile_grid=5)
     assert bq.provenance["error_profile"]["max_err"] < 1e-3 * vol
     assert K.region_contains(bq.region_tag, bq.nodes, tol=1e-9).all()
+
+
+PROFILE_BUILDERS = {
+    "triangle": lambda: K.triangle_quadrature(TRI, 4, 4, profile_grid=9),
+    "equilateral": lambda: K.equilateral_symmetric_quadrature(
+        3, 3, profile_grid=9),
+    "tetra": lambda: K.tetra_quadrature(TET, 3, 3, 3, profile_grid=4),
+    "tetra-symmetric": lambda: K.tetra_symmetric_quadrature(
+        2, 2, 2, profile_grid=3),
+    "cone": lambda: K.cone_quadrature(
+        K.ConeSpec(2.0, 1.0, 2), 4, 3, 3, target_box=((-0.4, 0.4),) * 3,
+        profile_grid=3),
+    "ball": lambda: K.ball_quadrature(
+        1.3, 4, 4, 3, target_box=((-0.4, 0.4),) * 3, profile_grid=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_BUILDERS))
+def test_recorded_profile_matches_measure_kernel_profile(name):
+    q = PROFILE_BUILDERS[name]()
+    prof = q.provenance["error_profile"]
+    again = measure_kernel_profile(expsum_kernel(q), prof["box"],
+                                   prof["grid_n"]).error_profile
+    if name != "tetra-symmetric":
+        assert again == prof
+        return
+    # measure_kernel_profile goes through the union region, which scales
+    # each piece by |det(R P)| = 1 +- 7e-16; the builder sums the piece
+    # closed form at pts @ (R P) unscaled.  The difference is relative to
+    # the kernel scale K(0) = weight sum, not to the (small) max_err.
+    assert again["box"] == prof["box"]
+    assert again["grid_n"] == prof["grid_n"]
+    assert abs(again["max_err"] - prof["max_err"]) \
+        <= 1e-12 * q.weights.sum()
 
 
 def test_cone_cascade_profile_improves_with_terms():

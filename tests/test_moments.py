@@ -71,6 +71,12 @@ def test_symmetrize():
     assert abs(at_zero[0] - 2 * B * 0.25) < 1e-15
     assert abs(float(np.sum(full.weights)) - 2 * B) < 1e-13
 
+    # a genuinely complex rule (sinc_gauss at M=4) is refused, not cast
+    cplx = solve_moment_problem(preset_moments("sinc_gauss", 1.0, 7), 4)
+    assert np.iscomplexobj(cplx.nodes)
+    with pytest.raises(ValueError, match="complex"):
+        symmetrize(cplx, B)
+
 
 def test_solver_reproduces_half_gauss_rule():
     M = 4
