@@ -91,11 +91,22 @@ def union_region(parts) -> Region:
     return Region("union", parts=tuple(parts))
 
 
+def _require_positive(**numbers) -> None:
+    """ValueError unless every shape number is finite and positive."""
+    for name, v in numbers.items():
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError("%s must be positive and finite, got %r"
+                             % (name, v))
+
+
 @dataclass(frozen=True)
 class TriangleSpec:
     """Isosceles wedge 0 <= kx <= dp, |ky| <= s kx."""
     dp: float
     s: float
+
+    def __post_init__(self):
+        _require_positive(dp=self.dp, s=self.s)
 
     @property
     def area(self) -> float:
@@ -109,6 +120,9 @@ class TetraSpec:
     dp: float
     s: float
 
+    def __post_init__(self):
+        _require_positive(h=self.h, dp=self.dp, s=self.s)
+
     @property
     def volume(self) -> float:
         return self.h ** 3 * self.dp ** 2 * self.s / 3.0
@@ -121,6 +135,11 @@ class ConeSpec:
     pmax: float
     n: int = 2
 
+    def __post_init__(self):
+        _require_positive(omega0=self.omega0, pmax=self.pmax)
+        if self.n not in (1, 2, 3):
+            raise ValueError("spatial dimension must be 1, 2 or 3")
+
     @property
     def measure(self) -> float:
         w0, p = self.omega0, self.pmax
@@ -128,9 +147,7 @@ class ConeSpec:
             return 2.0 * w0 ** 2 * p
         if self.n == 2:
             return (2.0 * np.pi / 3.0) * w0 ** 3 * p ** 2
-        if self.n == 3:
-            return (2.0 * np.pi / 3.0) * w0 ** 4 * p ** 3
-        raise ValueError("spatial dimension must be 1, 2 or 3")
+        return (2.0 * np.pi / 3.0) * w0 ** 4 * p ** 3
 
 
 def equilateral_spec() -> TriangleSpec:
@@ -254,6 +271,67 @@ def region_contains(r: Region, points, tol: float = 1e-9) -> np.ndarray:
         km = r.param("k_max")
         return np.linalg.norm(pts, axis=1) <= km + tol
     raise ValueError("unknown region kind %r" % r.kind)
+
+
+def region_dim(r: Region) -> int:
+    if r.kind == "union":
+        return region_dim(r.parts[0])
+    fixed = {"interval": 1, "triangle": 2, "tetrahedron": 3, "ball": 3}
+    if r.kind in fixed:
+        return fixed[r.kind]
+    if r.kind == "cone":
+        return 1 + int(r.param("n"))
+    raise ValueError("unknown region kind %r" % r.kind)
+
+
+def _kernel_flat(r: Region, pts: np.ndarray) -> np.ndarray:
+    A = r.transform_matrix()
+    if A is not None:
+        base = Region(r.kind, r.params, None, r.parts, r.symmetric)
+        det = abs(float(np.linalg.det(A)))
+        return det * _kernel_flat(base, pts @ A)
+    if r.kind == "union":
+        out = np.zeros(len(pts), dtype=complex)
+        for part in r.parts:
+            out = out + _kernel_flat(part, pts)
+        return out
+    if r.kind == "interval":
+        return np.asarray(2.0 * sinc(2.0 * np.pi * pts[:, 0]), dtype=complex)
+    if r.kind == "triangle":
+        spec = TriangleSpec(r.param("dp"), r.param("s"))
+        return np.asarray(k_triangle(spec, pts[:, 0], pts[:, 1]),
+                          dtype=complex)
+    if r.kind == "tetrahedron":
+        spec = TetraSpec(r.param("h"), r.param("dp"), r.param("s"))
+        return np.asarray(k_tetra(spec, pts[:, 0], pts[:, 1], pts[:, 2]),
+                          dtype=complex)
+    if r.kind == "cone":
+        spec = ConeSpec(r.param("omega0"), r.param("pmax"),
+                        int(r.param("n")))
+        sp = pts[:, 1] if spec.n == 1 else pts[:, 1:]
+        return np.asarray(k_cone(spec, pts[:, 0], sp), dtype=complex)
+    if r.kind == "ball":
+        return np.asarray(k_ball(r.param("k_max"), pts), dtype=complex)
+    raise ValueError("unknown region kind %r" % r.kind)
+
+
+def _as_points(x, d: int) -> tuple:
+    """(flat, lead): x as an (n, d) array plus the leading shape that
+    restores it.  1D points may come without their trailing axis."""
+    pts = np.asarray(x, dtype=float)
+    if d == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
+        pts = pts[..., None]
+    if pts.ndim == 0 or pts.shape[-1] != d:
+        raise ValueError("points need a last axis of length %d" % d)
+    return pts.reshape(-1, d), pts.shape[:-1]
+
+
+def region_kernel_exact(r: Region, x):
+    """K_R(x) = int_R e^{i 2 pi k.x} dk via the closed forms (adaptive
+    integration for the n=2 cone); K_R(0) is the region measure."""
+    flat, lead = _as_points(x, region_dim(r))
+    out = _kernel_flat(r, flat).reshape(lead)
+    return complex(out) if lead == () else out
 
 
 # --------------------------------------------------------------------------
@@ -736,19 +814,20 @@ def k_cone(spec: ConeSpec, t, x):
     n=1 and n=3 are closed forms built on cosinc differences; n=2 is the
     adaptive integral 4 pi w0^3 p^2 int_0^1 w^2 j1c(2 pi w w0 p r)
     cos(2 pi w w0 t) dw, which serves as the oracle for the sinc surrogate.
+    A scalar or 1-D x holds radii (signed offsets for n=1); for n >= 2 an
+    x with two or more axes holds spatial points along its last axis.
     """
     if spec.n == 1:
         return _k_cone_1(spec, t, x)
     if spec.n == 2:
         return _k_cone_2(spec, t, x)
-    if spec.n == 3:
-        return _k_cone_3(spec, t, x)
-    raise ValueError("spatial dimension must be 1, 2 or 3")
+    return _k_cone_3(spec, t, x)
 
 
-def _spatial_radius(x, n: int):
+def _spatial_radius(x):
+    """|x| for radii (scalar or 1-D x), row norms for points (2-D or more)."""
     x = np.asarray(x, dtype=float)
-    if x.ndim and x.shape[-1] == n and n > 1:
+    if x.ndim >= 2:
         return np.sqrt(np.sum(x * x, axis=-1))
     return np.abs(x)
 
@@ -794,7 +873,7 @@ def _sph_ratio(beta: float) -> float:
 def _k_cone_2(spec: ConeSpec, t, x):
     w0, p = spec.omega0, spec.pmax
     t = np.asarray(t, dtype=float)
-    r = _spatial_radius(x, 2)
+    r = _spatial_radius(x)
     t, r = np.broadcast_arrays(t, r)
     flat_t, flat_r = t.ravel(), r.ravel()
     out = np.empty(flat_t.shape, dtype=complex)
@@ -816,7 +895,7 @@ def _k_cone_2(spec: ConeSpec, t, x):
 def _k_cone_3(spec: ConeSpec, t, x):
     w0, p = spec.omega0, spec.pmax
     t = np.asarray(t, dtype=float)
-    r = _spatial_radius(x, 3)
+    r = _spatial_radius(x)
     t, r = np.broadcast_arrays(t, r)
     a = 2.0 * np.pi * w0 * t
     kap = 2.0 * np.pi * w0 * p
@@ -1033,8 +1112,13 @@ def cone_quadrature(spec: ConeSpec, M_w: int, M_p: int, M_t: int,
 
 def k_ball(k_max: float, x):
     """Kernel of the radius-k_max ball:
-    (sin u - u cos u)/(2 pi^2 r^3) with u = 2 pi k_max r."""
-    r = _spatial_radius(x, 3)
+    (sin u - u cos u)/(2 pi^2 r^3) with u = 2 pi k_max r.
+
+    A scalar or 1-D x holds radii; an x with two or more axes holds 3D
+    points along its last axis.
+    """
+    _require_positive(k_max=k_max)
+    r = _spatial_radius(x)
     u = 2.0 * np.pi * k_max * np.asarray(r, dtype=float)
     small = np.abs(u) <= _DQ_CUT
     us = np.where(small, 1.0, u)
@@ -1051,6 +1135,7 @@ def ball_quadrature(k_max: float, M_r: int, M_th: int, M_t: int,
                     profile_grid: int = 7) -> QuadratureND:
     """Cascade for the ball: rho^2-weighted radial rule, symmetric polar
     rule, equiangular azimuth; weights sum to the ball volume."""
+    _require_positive(k_max=k_max)
     Wx, Wy, Wz = _difference_widths(target_box)
     WR = math.sqrt(Wx * Wx + Wy * Wy + Wz * Wz)
     radial = one_sided_unit_rule(2.0 * np.pi * k_max * WR, M_r, power=2)

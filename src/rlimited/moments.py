@@ -147,6 +147,8 @@ def uniform_rule(B: float, M: int) -> Quadrature1D:
     """Full symmetric rule: nodes 2m/(2M+1) for m = -M..M, weights 2B/(2M+1)."""
     if M < 0:
         raise ValueError("M must be >= 0")
+    if not B > 0:
+        raise ValueError("band must be positive")
     m = np.arange(-M, M + 1)
     nodes = 2.0 * m / (2 * M + 1)
     weights = np.full(2 * M + 1, 2.0 * B / (2 * M + 1))
@@ -163,6 +165,8 @@ def symmetrize(q: Quadrature1D, B: float) -> Quadrature1D:
     """
     if q.symmetric:
         raise ValueError("rule is already symmetric")
+    if not B > 0:
+        raise ValueError("band must be positive")
     nodes, weights = _real_if_close(q.nodes), _real_if_close(q.weights)
     if np.iscomplexobj(nodes) or np.iscomplexobj(weights):
         raise ValueError("cannot symmetrize a rule with complex weights "

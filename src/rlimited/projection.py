@@ -18,10 +18,9 @@ from scipy.integrate import quad
 from .numkit import sinc, PointSet, SampledField, grid_axes
 from .moments import Quadrature1D, uniform_rule
 from .sincapprox import CosineSumApprox, error_epsilon_B
-from .kernels import (Region, QuadratureND, TriangleSpec, TetraSpec,
-                      ConeSpec, interval_region, region_contains,
-                      region_to_json, region_from_json,
-                      k_triangle, k_tetra, k_cone, k_ball,
+from .kernels import (Region, QuadratureND, interval_region,
+                      region_contains, region_dim, region_kernel_exact,
+                      region_to_json, region_from_json, _as_points,
                       _error_profile)
 
 __all__ = [
@@ -37,60 +36,6 @@ __all__ = [
 ]
 
 _MU_MIN = 1e-8
-
-
-def region_dim(r: Region) -> int:
-    if r.kind == "union":
-        return region_dim(r.parts[0])
-    fixed = {"interval": 1, "triangle": 2, "tetrahedron": 3, "ball": 3}
-    if r.kind in fixed:
-        return fixed[r.kind]
-    if r.kind == "cone":
-        return 1 + int(r.param("n"))
-    raise ValueError("unknown region kind %r" % r.kind)
-
-
-def _kernel_flat(r: Region, pts: np.ndarray) -> np.ndarray:
-    A = r.transform_matrix()
-    if A is not None:
-        base = Region(r.kind, r.params, None, r.parts, r.symmetric)
-        det = abs(float(np.linalg.det(A)))
-        return det * _kernel_flat(base, pts @ A)
-    if r.kind == "union":
-        out = np.zeros(len(pts), dtype=complex)
-        for part in r.parts:
-            out = out + _kernel_flat(part, pts)
-        return out
-    if r.kind == "interval":
-        return np.asarray(2.0 * sinc(2.0 * np.pi * pts[:, 0]), dtype=complex)
-    if r.kind == "triangle":
-        spec = TriangleSpec(r.param("dp"), r.param("s"))
-        return np.asarray(k_triangle(spec, pts[:, 0], pts[:, 1]),
-                          dtype=complex)
-    if r.kind == "tetrahedron":
-        spec = TetraSpec(r.param("h"), r.param("dp"), r.param("s"))
-        return np.asarray(k_tetra(spec, pts[:, 0], pts[:, 1], pts[:, 2]),
-                          dtype=complex)
-    if r.kind == "cone":
-        spec = ConeSpec(r.param("omega0"), r.param("pmax"),
-                        int(r.param("n")))
-        sp = pts[:, 1] if spec.n == 1 else pts[:, 1:]
-        return np.asarray(k_cone(spec, pts[:, 0], sp), dtype=complex)
-    if r.kind == "ball":
-        return np.asarray(k_ball(r.param("k_max"), pts), dtype=complex)
-    raise ValueError("unknown region kind %r" % r.kind)
-
-
-def region_kernel_exact(r: Region, x):
-    """K_R(x) = int_R e^{i 2 pi k.x} dk via the closed forms (adaptive
-    integration for the n=2 cone); K_R(0) is the region measure."""
-    d = region_dim(r)
-    pts = np.asarray(x, dtype=float)
-    if d == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-        pts = pts[..., None]
-    lead = pts.shape[:-1]
-    out = _kernel_flat(r, pts.reshape(-1, d)).reshape(lead)
-    return complex(out) if lead == () else out
 
 
 # --------------------------------------------------------------------------
@@ -139,12 +84,7 @@ class ExpSumKernel:
 
     def eval(self, x):
         """The surrogate kappa_B at physical offsets x."""
-        d = self.nodes.shape[1]
-        pts = np.asarray(x, dtype=float)
-        if d == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-            pts = pts[..., None]
-        lead = pts.shape[:-1]
-        flat = pts.reshape(-1, d)
+        flat, lead = _as_points(x, self.nodes.shape[1])
         out = np.exp(2j * np.pi * (flat @ self.scaled_nodes().T)) \
             @ self.weights.astype(complex)
         out = out.reshape(lead)
@@ -325,16 +265,18 @@ def nyquist_delta_train_check(f_k, M: int, K: int, B: float = 1.0) -> dict:
 # 1D sampling interpolation
 
 
-def _values_at_rule_nodes(f_at_nodes, q_nodes: np.ndarray) -> np.ndarray:
-    if isinstance(f_at_nodes, SampledField):
-        pts = f_at_nodes.points.points.reshape(-1)
-        if len(pts) != len(q_nodes) or not np.allclose(
-                pts, q_nodes, atol=1e-9 * max(1.0, np.abs(q_nodes).max())):
-            raise ValueError("field points do not match the rule nodes")
-        return np.asarray(f_at_nodes.values, dtype=complex)
-    vals = np.asarray(f_at_nodes, dtype=complex)
-    if len(vals) != len(q_nodes):
-        raise ValueError("need one sample per rule node")
+def _samples_at(f, sites: np.ndarray, what: str) -> np.ndarray:
+    """Sample values at the (n, d) sites: a SampledField whose points match
+    the sites (1e-9 relative), or one value per site."""
+    if isinstance(f, SampledField):
+        pts = _as_points(f.points.points, sites.shape[1])[0]
+        if pts.shape != sites.shape or not np.allclose(
+                pts, sites, atol=1e-9 * max(1.0, float(np.abs(sites).max()))):
+            raise ValueError("sample points do not match the %s" % what)
+        return np.asarray(f.values, dtype=complex)
+    vals = np.asarray(f, dtype=complex)
+    if len(vals) != len(sites):
+        raise ValueError("sample count does not match the %s" % what)
     return vals
 
 
@@ -343,6 +285,29 @@ def _rescaled_vectors(basis, weights: np.ndarray, target: float):
     vecs = np.asarray(basis.eigenvectors)
     nrm2 = np.einsum("m,mn->n", weights, np.abs(vecs) ** 2)
     return vecs * np.sqrt(target / nrm2)[None, :]
+
+
+def _frame_coefficients(v, w, gram, basis, target: float, mu_min: float,
+                        regularization: str) -> np.ndarray:
+    """R^(p) D_w v for the regularized inverse frame operator.
+
+    "kernel" applies the Gram matrix gram() (built only on this route);
+    "spectral" applies sum_{mu_n >= mu_min} mu_n^{-1} phi_n phi_n^H with
+    phi_n scaled to sum_m w_m |phi_n|^2 = target.
+    """
+    if regularization == "kernel":
+        return gram() @ (w * v)
+    if regularization != "spectral":
+        raise ValueError("unknown regularization %r" % regularization)
+    if basis is None:
+        raise ValueError("spectral regularization needs an eigenbasis")
+    if len(basis.eigenvectors) != len(v):
+        raise ValueError("basis size does not match the samples")
+    phi = _rescaled_vectors(basis, w, target)
+    mu = np.asarray(basis.eigenvalues_mu, dtype=float)
+    keep = mu >= mu_min
+    proj = phi[:, keep].conj().T @ (w * v)
+    return phi[:, keep] @ (proj / mu[keep])
 
 
 def sampling_interpolation_1d(f_at_nodes, q: Quadrature1D, B: float, t,
@@ -371,24 +336,14 @@ def sampling_interpolation_1d(f_at_nodes, q: Quadrature1D, B: float, t,
     B = float(B)
     om = np.asarray(q.nodes, dtype=float)
     al = np.asarray(q.weights, dtype=float) * (B / float(q.band))
-    v = _values_at_rule_nodes(f_at_nodes, om)
+    v = _samples_at(f_at_nodes, om[:, None], "rule nodes")
     if regularization == "direct":
         c = v / B
-    elif regularization == "kernel":
-        R1 = 2.0 * B * sinc(2.0 * np.pi * B * (om[:, None] - om[None, :]))
-        c = (R1.T @ (al * v)) / B ** 2
-    elif regularization == "spectral":
-        if basis is None:
-            raise ValueError("spectral regularization needs an eigenbasis")
-        if len(basis.eigenvectors) != len(om):
-            raise ValueError("basis size does not match the rule")
-        phi = _rescaled_vectors(basis, al, B)
-        mu = np.asarray(basis.eigenvalues_mu, dtype=float)
-        keep = mu >= mu_min
-        proj = phi[:, keep].conj().T @ (al * v)
-        c = (phi[:, keep] @ (proj / mu[keep])) / B ** 2
     else:
-        raise ValueError("unknown regularization %r" % regularization)
+        c = _frame_coefficients(
+            v, al, lambda: (2.0 * B * sinc(
+                2.0 * np.pi * B * (om[:, None] - om[None, :]))).T,
+            basis, B, mu_min, regularization) / B ** 2
     t = np.asarray(t, dtype=float)
     kern = 2.0 * B * sinc(2.0 * np.pi * B * (t[..., None] - om))
     out = kern @ (al * c)
@@ -513,15 +468,6 @@ def measure_kernel_profile(kernel: ExpSumKernel, base_box,
                         error_profile=prof)
 
 
-def _eval_points(x, d: int) -> tuple:
-    pts = np.asarray(x, dtype=float)
-    if d == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-        pts = pts.reshape(-1, 1)
-        return pts, np.ndim(x) == 0
-    scalar = pts.ndim == 1
-    return np.atleast_2d(pts), scalar
-
-
 def rlimited_discrete_fourier(f: SampledField, kernel: ExpSumKernel, x,
                               check_coverage: bool = True) -> ProjectionResult:
     """Project grid samples onto the kernel's scaled exponentials:
@@ -533,10 +479,7 @@ def rlimited_discrete_fourier(f: SampledField, kernel: ExpSumKernel, x,
     (refused otherwise).  Trapezoid discretization error is recorded but
     not bounded.
     """
-    d = kernel.nodes.shape[1]
-    pts, scalar = _eval_points(x, d)
-    if pts.shape[1] != d:
-        raise ValueError("evaluation points have wrong dimension")
+    pts, lead = _as_points(x, kernel.nodes.shape[1])
     xi = kernel.scaled_nodes()
     fhat, support = _grid_fhat(f, xi)
     if check_coverage:
@@ -551,7 +494,7 @@ def rlimited_discrete_fourier(f: SampledField, kernel: ExpSumKernel, x,
     prov = {"route": "discrete-fourier", "n_nodes": len(kernel.weights),
             "support": support, "fhat_rule": "trapezoid",
             "grid_shape": [len(ax) for ax in grid_axes(f.points.points)],
-            "scalar_input": scalar}
+            "scalar_input": lead == ()}
     return ProjectionResult(field=res_field, error_bound=bound,
                             provenance=prov)
 
@@ -599,35 +542,16 @@ def ra_sampling_interpolation(f_at_transformed_nodes, kernel: ExpSumKernel,
         raise ValueError("kernel band does not equal A^T A")
     nodes = kernel.nodes
     sites = nodes @ A.T
-    if isinstance(f_at_transformed_nodes, SampledField):
-        fp = f_at_transformed_nodes.points.points
-        if fp.shape != sites.shape or not np.allclose(
-                fp, sites, atol=1e-9 * max(1.0, float(np.abs(sites).max()))):
-            raise ValueError("sample points do not match transformed nodes")
-        v = np.asarray(f_at_transformed_nodes.values, dtype=complex)
-    else:
-        v = np.asarray(f_at_transformed_nodes, dtype=complex)
-        if len(v) != len(nodes):
-            raise ValueError("need one sample per kernel node")
+    v = _samples_at(f_at_transformed_nodes, sites, "transformed nodes")
     w = kernel.base_weights()
     if regularization == "direct":
-        F = v.copy()
-    elif regularization == "kernel":
-        G = _kappa_matrix(kernel, nodes[:, None, :] - nodes[None, :, :])
-        F = G @ (w * v)
-    elif regularization == "spectral":
-        if basis is None:
-            raise ValueError("spectral regularization needs an eigenbasis")
-        if len(basis.eigenvectors) != len(nodes):
-            raise ValueError("basis size does not match the kernel")
-        phi = _rescaled_vectors(basis, w, 1.0)
-        mu = np.asarray(basis.eigenvalues_mu, dtype=float)
-        keep = mu >= mu_min
-        proj = phi[:, keep].conj().T @ (w * v)
-        F = phi[:, keep] @ (proj / mu[keep])
+        F = v
     else:
-        raise ValueError("unknown regularization %r" % regularization)
-    pts, scalar = _eval_points(x, d)
+        F = _frame_coefficients(
+            v, w, lambda: _kappa_matrix(
+                kernel, nodes[:, None, :] - nodes[None, :, :]),
+            basis, 1.0, mu_min, regularization)
+    pts, lead = _as_points(x, d)
     diffs = (pts[:, None, :] - sites[None, :, :]) @ A
     K = region_kernel_exact(kernel.region,
                             diffs.reshape(-1, d)).reshape(len(pts),
@@ -642,7 +566,7 @@ def ra_sampling_interpolation(f_at_transformed_nodes, kernel: ExpSumKernel,
                              label="ra sampling interpolation")
     prov = {"route": "ra-sampling", "regularization": regularization,
             "n_nodes": len(nodes), "transform": A.tolist(),
-            "mu_min": mu_min, "scalar_input": scalar,
+            "mu_min": mu_min, "scalar_input": lead == (),
             "bound_note": "first-order kernel-surrogate term"}
     return ProjectionResult(field=res_field, error_bound=bound,
                             provenance=prov)
@@ -665,20 +589,8 @@ def patched_projection(parts, f, x, bases=None,
     overlap only in measure zero (caller's assertion, recorded).  Sample
     values follow the concatenation order of patched_sample_points.
     """
-    if not parts:
-        raise ValueError("no parts")
-    if isinstance(f, SampledField):
-        want = patched_sample_points(parts)
-        fp = f.points.points
-        if fp.shape != want.shape or not np.allclose(
-                fp, want, atol=1e-9 * max(1.0, float(np.abs(want).max()))):
-            raise ValueError("sample points do not match the part layout")
-        vals = np.asarray(f.values, dtype=complex)
-    else:
-        vals = np.asarray(f, dtype=complex)
+    vals = _samples_at(f, patched_sample_points(parts), "part layout")
     counts = [len(k.nodes) for _, k in parts]
-    if len(vals) != sum(counts):
-        raise ValueError("sample count does not match the part layout")
     out = None
     bound = 0.0
     prov_parts = []
@@ -692,7 +604,7 @@ def patched_projection(parts, f, x, bases=None,
         out = res.field.values if out is None else out + res.field.values
         bound += res.error_bound
         prov_parts.append(res.provenance)
-    pts, scalar = _eval_points(x, parts[0][1].nodes.shape[1])
+    pts, lead = _as_points(x, parts[0][1].nodes.shape[1])
     res_field = SampledField(points=PointSet(pts), values=out,
                              label="patched projection")
     return ProjectionResult(field=res_field, error_bound=bound,
@@ -700,5 +612,5 @@ def patched_projection(parts, f, x, bases=None,
                                         "n_parts": len(parts),
                                         "overlap": "measure-zero asserted "
                                                    "by caller",
-                                        "scalar_input": scalar,
+                                        "scalar_input": lead == (),
                                         "parts": prov_parts})

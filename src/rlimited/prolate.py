@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .numkit import sinc
 from .moments import Quadrature1D
+from .kernels import region_kernel_exact
 
 _TIE_TOL = 1e-10
 
@@ -65,11 +66,40 @@ def _degenerate_blocks(mu: np.ndarray) -> list:
     return blocks
 
 
-def _positive_weights(q) -> np.ndarray:
-    w = np.asarray(q.weights, dtype=float)
+def _positive_weights(weights) -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
     if np.any(w <= 0):
         raise ValueError("eigensystem symmetrization needs positive weights")
     return w
+
+
+def _solve(M_hat, d, scale: float, quadrature, band, hermitian: bool,
+           extra_provenance: dict) -> EigenBasis:
+    """Eigenpairs of the weight-symmetrized matrix M_hat = D M D^{-1} with
+    D = diag(d), mapped back to node values phi = psi / d.
+
+    hermitian: eigh gives mu directly and lambda = sqrt(mu / scale) in
+    magnitude (kernel system); otherwise eig gives lambda and
+    mu = scale |lambda|^2 (exponential system).
+    """
+    if hermitian:
+        mu, psi = np.linalg.eigh(M_hat)
+        mu, psi = mu[::-1].copy(), psi[:, ::-1].copy()
+        vecs = psi / d[:, None]
+        lam = np.sqrt(np.maximum(mu, 0.0) / scale)
+    else:
+        lam, psi = np.linalg.eig(M_hat)
+        vecs = psi / d[:, None]
+        mu = scale * np.abs(lam) ** 2
+    mu, lam, vecs = _order_and_fix(mu, lam, vecs)
+    prov = {"degenerate_blocks": _degenerate_blocks(mu), "n_nodes": len(d),
+            **extra_provenance}
+    if hermitian:
+        prov["lambda_magnitude_only"] = True
+    return EigenBasis(eigenvalues_mu=mu, eigenvalues_lambda=lam,
+                      eigenvectors=vecs, quadrature=quadrature, band=band,
+                      kind="kernel_system" if hermitian else "exp_system",
+                      provenance=prov)
 
 
 def pswf_exp_eigensystem(q: Quadrature1D, B: float) -> EigenBasis:
@@ -83,20 +113,12 @@ def pswf_exp_eigensystem(q: Quadrature1D, B: float) -> EigenBasis:
         raise ValueError("exponential eigensystem needs a symmetric rule")
     if B <= 0:
         raise ValueError("band must be positive")
-    w = _positive_weights(q)
+    w = _positive_weights(q.weights)
     om = np.asarray(q.nodes, dtype=float)
     d = np.sqrt(w)
     A_hat = (1.0 / B) * d[:, None] * d[None, :] * np.exp(
         2j * np.pi * B * om[:, None] * om[None, :])
-    lam, psi = np.linalg.eig(A_hat)
-    vecs = psi / d[:, None]
-    mu = B * np.abs(lam) ** 2
-    mu, lam, vecs = _order_and_fix(mu, lam, vecs)
-    return EigenBasis(eigenvalues_mu=mu, eigenvalues_lambda=lam,
-                      eigenvectors=vecs, quadrature=q, band=float(B),
-                      kind="exp_system",
-                      provenance={"degenerate_blocks": _degenerate_blocks(mu),
-                                  "n_nodes": len(om)})
+    return _solve(A_hat, d, B, q, float(B), False, {})
 
 
 def pswf_kernel_eigensystem(q: Quadrature1D, B: float) -> EigenBasis:
@@ -110,23 +132,12 @@ def pswf_kernel_eigensystem(q: Quadrature1D, B: float) -> EigenBasis:
         raise ValueError("kernel eigensystem needs a symmetric rule")
     if B <= 0:
         raise ValueError("band must be positive")
-    w = _positive_weights(q)
+    w = _positive_weights(q.weights)
     om = np.asarray(q.nodes, dtype=float)
     d = np.sqrt(w)
     S_hat = 2.0 * d[:, None] * d[None, :] * sinc(
         2.0 * np.pi * B * (om[:, None] - om[None, :]))
-    mu, psi = np.linalg.eigh(S_hat)
-    vecs = (psi / d[:, None]).astype(float)
-    mu = mu[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    lam = np.sqrt(np.maximum(mu, 0.0) / B)
-    mu, lam, vecs = _order_and_fix(mu, lam, vecs)
-    return EigenBasis(eigenvalues_mu=mu, eigenvalues_lambda=lam,
-                      eigenvectors=vecs, quadrature=q, band=float(B),
-                      kind="kernel_system",
-                      provenance={"degenerate_blocks": _degenerate_blocks(mu),
-                                  "n_nodes": len(om),
-                                  "lambda_magnitude_only": True})
+    return _solve(S_hat, d, B, q, float(B), True, {})
 
 
 @dataclass
@@ -198,23 +209,13 @@ def rslepian_exp_eigensystem(kernel, B=None) -> EigenBasis:
     Bm = _band_matrix(kernel, B)
     if not np.allclose(Bm, Bm.T, atol=1e-12 * max(1.0, np.abs(Bm).max())):
         raise ValueError("exponential eigensystem needs symmetric band")
-    w = np.asarray(kernel.base_weights(), dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("eigensystem symmetrization needs positive weights")
+    w = _positive_weights(kernel.base_weights())
     nodes = np.atleast_2d(np.asarray(kernel.nodes, dtype=float))
     d = np.sqrt(w)
     phase = 2j * np.pi * (nodes @ Bm.T @ nodes.T).T
     A_hat = d[:, None] * d[None, :] * np.exp(phase)
-    lam, psi = np.linalg.eig(A_hat)
-    vecs = psi / d[:, None]
     det = abs(float(np.linalg.det(Bm)))
-    mu = det * np.abs(lam) ** 2
-    mu, lam, vecs = _order_and_fix(mu, lam, vecs)
-    return EigenBasis(eigenvalues_mu=mu, eigenvalues_lambda=lam,
-                      eigenvectors=vecs, quadrature=kernel, band=Bm,
-                      kind="exp_system",
-                      provenance={"degenerate_blocks": _degenerate_blocks(mu),
-                                  "n_nodes": len(nodes), "det_band": det})
+    return _solve(A_hat, d, det, kernel, Bm, False, {"det_band": det})
 
 
 def rslepian_kernel_eigensystem(kernel, B=None) -> EigenBasis:
@@ -223,11 +224,8 @@ def rslepian_kernel_eigensystem(kernel, B=None) -> EigenBasis:
     The weight-symmetrized matrix is Hermitian PSD (real for symmetric
     regions); eigh returns the concentration eigenvalues mu directly.
     """
-    from .projection import region_kernel_exact
     Bm = _band_matrix(kernel, B)
-    w = np.asarray(kernel.base_weights(), dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("eigensystem symmetrization needs positive weights")
+    w = _positive_weights(kernel.base_weights())
     nodes = np.atleast_2d(np.asarray(kernel.nodes, dtype=float))
     det = abs(float(np.linalg.det(Bm)))
     diffs = (nodes[:, None, :] - nodes[None, :, :]) @ Bm.T
@@ -240,19 +238,8 @@ def rslepian_kernel_eigensystem(kernel, B=None) -> EigenBasis:
     S_hat = 0.5 * (S_hat + S_hat.conj().T)
     if np.max(np.abs(S_hat.imag)) <= 1e-12 * max(1.0, np.max(np.abs(S_hat))):
         S_hat = S_hat.real
-    mu, psi = np.linalg.eigh(S_hat)
-    vecs = psi / d[:, None]
-    mu = mu[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    lam = np.sqrt(np.maximum(mu, 0.0) / det)
-    mu, lam, vecs = _order_and_fix(mu, lam, vecs)
-    return EigenBasis(eigenvalues_mu=mu, eigenvalues_lambda=lam,
-                      eigenvectors=vecs, quadrature=kernel, band=Bm,
-                      kind="kernel_system",
-                      provenance={"degenerate_blocks": _degenerate_blocks(mu),
-                                  "n_nodes": len(nodes), "det_band": det,
-                                  "hermitian_defect": herm_defect,
-                                  "lambda_magnitude_only": True})
+    return _solve(S_hat, d, det, kernel, Bm, True,
+                  {"det_band": det, "hermitian_defect": herm_defect})
 
 
 # --------------------------------------------------------------------------

@@ -59,6 +59,16 @@ def test_quad_bad_input_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
     assert main(["quad", "--preset", "gauss_cos", "--M", "100",
                  "--out", str(tmp_path)]) == 2
+    for bad in (["--region", "ball", "--kmax", "-1"],
+                ["--region", "cone", "--omega0", "-1"],
+                ["--region", "triangle", "--dp", "-0.5"],
+                ["--region", "triangle", "--s", "0"],
+                ["--preset", "uniform", "--band", "-2"]):
+        assert main(["quad", *bad, "--M", "3", "--out", str(tmp_path)]) == 2
+    assert main(["kernel-eval", "--region", "ball", "--kmax", "-1",
+                 "--grid", "3", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "quadrature.json").exists()
+    assert not (tmp_path / "kernel_field.csv").exists()
     err = capsys.readouterr().err
     assert "pass --preset or --region" in err
     assert "unknown preset" in err
@@ -114,13 +124,15 @@ def test_pswf_uniform_resolving_band(tmp_path, capsys):
     assert (tmp_path / "eigenbasis.json").exists()
 
 
-def test_kernel_eval_ball_matches_direct(tmp_path, capsys):
+@pytest.mark.parametrize("grid", [11, 3])
+def test_kernel_eval_ball_matches_direct(tmp_path, capsys, grid):
     rc = main(["kernel-eval", "--region", "ball", "--kmax", "1.0",
-               "--grid", "11", "--extent", "0.9", "--out", str(tmp_path)])
+               "--grid", str(grid), "--extent", "0.9", "--out",
+               str(tmp_path)])
     assert rc == 0
     fld = read_field_csv(str(tmp_path / "kernel_field.csv"))
     pts = fld.points.points
-    assert len(pts) == 11
+    assert len(pts) == grid
     direct = k_ball(1.0, np.abs(pts[:, 0]))
     assert np.max(np.abs(fld.values - direct)) < 1e-15
 

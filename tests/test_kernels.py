@@ -156,6 +156,32 @@ def test_k_cone_rejects_bad_dimension():
         K.k_cone(K.ConeSpec(1.0, 1.0, 4), 0.0, 0.0)
 
 
+def test_shape_numbers_must_be_positive_and_finite():
+    for make in (lambda: K.TriangleSpec(0.8, 0.0),
+                 lambda: K.TetraSpec(1.0, -0.8, 0.7),
+                 lambda: K.TetraSpec(1.0, 0.8, np.nan),
+                 lambda: K.ConeSpec(np.inf, 1.0, 2),
+                 lambda: K.k_ball(0.0, 0.3),
+                 lambda: K.ball_quadrature(-1.0, 2, 2, 2)):
+        with pytest.raises(ValueError):
+            make()
+
+
+def test_1d_spatial_input_holds_radii():
+    r = np.array([0.1, 0.2, 0.3])
+    got = K.k_ball(1.0, r)
+    assert got.shape == (3,)
+    assert np.array_equal(got, [K.k_ball(1.0, ri) for ri in r])
+    pts = np.stack([r, 0 * r, 0 * r], axis=-1)
+    assert np.array_equal(K.k_ball(1.0, pts), got)
+    spec = K.ConeSpec(1.0, 1.0, 2)
+    t, rc = np.array([0.1, 0.2]), np.array([0.3, 0.4])
+    got = K.k_cone(spec, t, rc)
+    assert got.shape == (2,)
+    assert np.array_equal(got, [K.k_cone(spec, ti, ri)
+                                for ti, ri in zip(t, rc)])
+
+
 def test_k_ball_against_quadrature_oracle():
     km = 1.7
 

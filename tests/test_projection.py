@@ -208,18 +208,30 @@ def test_stability_constant(freq_rule):
     assert 0 < c_strict < c_all
 
 
-def test_ra_reduces_to_1d_interpolation(freq_rule):
+@pytest.mark.parametrize("regularization", ["direct", "kernel", "spectral"])
+def test_ra_reduces_to_1d_interpolation(freq_rule, regularization):
     kern = P.expsum_kernel(freq_rule)
     rng = np.random.default_rng(11)
     v = rng.normal(size=len(freq_rule.nodes)) \
         + 1j * rng.normal(size=len(freq_rule.nodes))
     t = np.linspace(-0.8, 0.8, 7)
-    one_d = P.sampling_interpolation_1d(v, freq_rule, B, t,
-                                        regularization="kernel")
+    spectral = regularization == "spectral"
+    # 1/mu amplifies rounding in the spectral route, so it keeps only
+    # modes with mu >= 1e-4 and is held to a relative bound
+    kw = dict(regularization=regularization, mu_min=1e-4)
+    one_d = P.sampling_interpolation_1d(
+        v, freq_rule, B, t,
+        basis=PR.pswf_kernel_eigensystem(freq_rule, B) if spectral else None,
+        **kw)
     ra = P.ra_sampling_interpolation(
         v, kern, np.array([[np.sqrt(B)]]), (np.sqrt(B) * t)[:, None],
-        regularization="kernel")
-    assert np.max(np.abs(ra.field.values - one_d)) < 1e-13
+        basis=PR.rslepian_kernel_eigensystem(kern) if spectral else None,
+        **kw)
+    err = np.max(np.abs(ra.field.values - one_d))
+    if spectral:
+        assert err < 1e-11 * np.max(np.abs(one_d)), err
+    else:
+        assert err < 1e-13, err
 
 
 def test_ra_guards(freq_rule):
