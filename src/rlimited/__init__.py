@@ -40,7 +40,7 @@ from .prolate import EigenBasis, pswf_exp_eigensystem, \
     pswf_kernel_eigensystem, ProlateEvaluator, extend_prolate, \
     rslepian_exp_eigensystem, rslepian_kernel_eigensystem, \
     eigenbasis_to_json, eigenbasis_from_json
-from .projection import ExpSumKernel, expsum_kernel, region_kernel_exact, \
+from .projection import expsum_kernel, region_kernel_exact, \
     region_dim, bandlimited_projection_oracle, discrete_fourier_repr_1d, \
     discrete_repr_error_bound, nyquist_delta_train_check, \
     sampling_interpolation_1d, sampling_interpolation_scaled, \
@@ -75,7 +75,7 @@ __all__ = [
     "ProlateEvaluator", "extend_prolate", "rslepian_exp_eigensystem",
     "rslepian_kernel_eigensystem", "eigenbasis_to_json",
     "eigenbasis_from_json",
-    "ExpSumKernel", "expsum_kernel", "region_kernel_exact", "region_dim",
+    "expsum_kernel", "region_kernel_exact", "region_dim",
     "bandlimited_projection_oracle", "discrete_fourier_repr_1d",
     "discrete_repr_error_bound", "nyquist_delta_train_check",
     "sampling_interpolation_1d", "sampling_interpolation_scaled",

@@ -28,13 +28,12 @@ from .kernels import (TriangleSpec, ConeSpec, triangle_quadrature,
                       equilateral_symmetric_quadrature, tetra_quadrature,
                       tetra_symmetric_quadrature, cone_quadrature,
                       ball_quadrature, regular_tetra_spec,
-                      quadrature_nd_to_json, k_triangle, k_tetra, k_cone,
-                      k_ball)
+                      quadrature_nd_to_json, quadrature_nd_from_json,
+                      k_triangle, k_tetra, k_cone, k_ball)
 from .prolate import (pswf_exp_eigensystem, pswf_kernel_eigensystem,
                       eigenbasis_to_json)
-from .projection import (expsum_kernel, expsum_kernel_from_json,
-                         rlimited_discrete_fourier, needed_base_box,
-                         measure_kernel_profile, _plain)
+from .projection import (expsum_kernel, rlimited_discrete_fourier,
+                         needed_base_box, measure_kernel_profile, _plain)
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -215,14 +214,12 @@ def cmd_kernel_eval(args) -> int:
 
 
 def _load_kernel(path: str):
-    """Kernel JSON, or any quadrature JSON promoted to a unit-band kernel."""
+    """Node-cloud JSON (a cascade or a banded kernel), or a 1D rule JSON
+    promoted to a unit-band interval kernel."""
     with open(path) as fh:
         doc = json.load(fh)
-    if "region" in doc and "band" in doc:
-        return expsum_kernel_from_json(doc)
     if "region" in doc:
-        from .kernels import quadrature_nd_from_json
-        return expsum_kernel(quadrature_nd_from_json(doc))
+        return quadrature_nd_from_json(doc)
     from .moments import quadrature_from_json
     return expsum_kernel(quadrature_from_json(doc))
 
@@ -238,7 +235,7 @@ def cmd_project(args) -> int:
         epts = np.stack([g.ravel() for g in grids], axis=-1)
     else:
         epts = fld.points.points
-    if not kern.error_profile:
+    if not kern.provenance.get("error_profile"):
         pts = fld.points.points
         support = [(float(a), float(b)) for a, b in zip(pts.min(axis=0),
                                                         pts.max(axis=0))]
@@ -248,7 +245,7 @@ def cmd_project(args) -> int:
         n_meas = {1: 2001, 2: 121, 3: 31}.get(kern.nodes.shape[1], 31)
         kern = measure_kernel_profile(kern, box, grid_n=n_meas)
         print("measured kernel profile: max err %.3e over %s"
-              % (kern.error_profile["max_err"], box))
+              % (kern.scaled_error_max(), box))
     res = rlimited_discrete_fourier(fld, kern, epts)
     write_field_csv(res.field, os.path.join(args.out, "projection.csv"))
     _write_json(os.path.join(args.out, "projection_bound.json"),

@@ -168,40 +168,75 @@ def regular_tetra_spec() -> TetraSpec:
 
 @dataclass
 class QuadratureND:
-    """Weighted node cloud in R^d standing in for a region kernel.
+    """Weighted node cloud in R^d standing in for a region kernel:
+    sum_m w_m e^{i 2 pi (B k_m).x}.
 
-    provenance carries construction parameters and, when measured, the
-    error profile {"max_err", "box", "grid_n"} over the verified difference
-    box.  symmetry_group lists rotations the node multiset is invariant
-    under.
+    nodes are base frequencies k_m inside region; band is the d x d matrix
+    B (None means the identity, as cascades build it) and weights are the
+    weights of the banded sum, summing to the measure of B R.  provenance
+    carries construction parameters and, when measured, the error profile
+    {"max_err", "box", "grid_n"}: max_err bounds
+    |sum(x) - |det B| K_R(B^T x)| wherever B^T x lies in the
+    base-coordinate box.  symmetry_group lists rotations the node multiset
+    is invariant under.
     """
     weights: np.ndarray
     nodes: np.ndarray
-    region_tag: Region
+    region: Region
+    band: np.ndarray | None = None
     symmetry_group: list | None = None
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
         self.nodes = np.atleast_2d(np.asarray(self.nodes, dtype=float))
+        d = self.nodes.shape[1]
+        Bm = np.eye(d) if self.band is None \
+            else np.atleast_2d(np.asarray(self.band, dtype=float))
+        if Bm.shape != (d, d):
+            raise ValueError("band must be a %d x %d matrix" % (d, d))
+        if abs(float(np.linalg.det(Bm))) <= 1e-14:
+            raise ValueError("band matrix is singular")
+        self.band = Bm
         if len(self.weights) != len(self.nodes):
             raise ValueError("weights/nodes length mismatch")
+        inside = region_contains(self.region, self.nodes, tol=1e-9)
+        if not np.all(inside):
+            raise ValueError("%d kernel nodes fall outside the region"
+                             % int(np.sum(~inside)))
 
-    def eval_sum(self, x) -> np.ndarray:
-        """sum_m w_m e^{i 2 pi k_m . x} for x of shape (..., d)."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 1
-        pts = np.atleast_2d(x)
-        out = np.exp(2j * np.pi * (pts @ self.nodes.T)) @ self.weights.astype(
-            complex)
-        return out[0] if scalar else out
+    def det_band(self) -> float:
+        return abs(float(np.linalg.det(self.band)))
+
+    def base_weights(self) -> np.ndarray:
+        return self.weights / self.det_band()
+
+    def scaled_nodes(self) -> np.ndarray:
+        return self.nodes @ self.band.T
+
+    def scaled_error_max(self) -> float:
+        prof = self.provenance.get("error_profile")
+        return float(prof["max_err"]) if prof else math.inf
+
+    def eval_sum(self, x):
+        """The banded sum at offsets x of shape (..., d); 1D points may
+        come without their trailing axis."""
+        flat, lead = _as_points(x, self.nodes.shape[1])
+        out = np.exp(2j * np.pi * (flat @ self.scaled_nodes().T)) \
+            @ self.weights.astype(complex)
+        out = out.reshape(lead)
+        return complex(out) if lead == () else out
 
 
 def quadrature_nd_to_json(q: QuadratureND) -> dict:
+    """The band is written only when it is not the identity, so cascade
+    artifacts keep their layout."""
     d = {"weights": [float(w) for w in q.weights],
          "nodes": [[float(c) for c in row] for row in q.nodes],
-         "region": region_to_json(q.region_tag),
-         "provenance": q.provenance}
+         "region": region_to_json(q.region)}
+    if not np.array_equal(q.band, np.eye(len(q.band))):
+        d["band"] = [[float(c) for c in row] for row in q.band]
+    d["provenance"] = q.provenance
     if q.symmetry_group is not None:
         d["symmetry_group"] = [[[float(c) for c in row] for row in m]
                                for m in q.symmetry_group]
@@ -209,14 +244,20 @@ def quadrature_nd_to_json(q: QuadratureND) -> dict:
 
 
 def quadrature_nd_from_json(d: dict) -> QuadratureND:
+    """Also reads the older kernel layout, which keeps the error profile
+    at top level."""
     group = d.get("symmetry_group")
+    prov = dict(d.get("provenance", {}))
+    if d.get("error_profile"):
+        prov["error_profile"] = dict(d["error_profile"])
     return QuadratureND(
         weights=np.asarray(d["weights"], dtype=float),
         nodes=np.asarray(d["nodes"], dtype=float),
-        region_tag=region_from_json(d["region"]),
+        region=region_from_json(d["region"]),
+        band=d.get("band"),
         symmetry_group=[np.asarray(m, dtype=float) for m in group]
         if group else None,
-        provenance=dict(d.get("provenance", {})))
+        provenance=prov)
 
 
 def region_to_json(r: Region) -> dict:
@@ -506,8 +547,8 @@ def _group_copies(base: QuadratureND, group, placement, piece_kernel,
     q = QuadratureND(
         weights=np.concatenate([base.weights] * len(group)),
         nodes=np.concatenate([placed @ R.T for R in group]),
-        region_tag=union_region([transformed_region(base.region_tag, A)
-                                 for A in maps]),
+        region=union_region([transformed_region(base.region, A)
+                             for A in maps]),
         symmetry_group=[R.copy() for R in group],
         provenance={"construction": construction,
                     "piece": dict(base.provenance)})
@@ -546,7 +587,7 @@ def triangle_quadrature(spec: TriangleSpec, M_outer: int, M_inner: int,
             2.0 * np.pi * spec.dp * spec.s * v * Wy, M_inner)],
         lambda v, u: np.stack([spec.dp * v, spec.dp * spec.s * v * u], -1))
     q = QuadratureND(weights=weights, nodes=nodes,
-                     region_tag=triangle_region(spec.dp, spec.s),
+                     region=triangle_region(spec.dp, spec.s),
                      provenance={"construction": "wedge-cascade",
                                  "M_outer": M_outer, "M_inner": M_inner,
                                  "target_box": _box_provenance(target_box)})
@@ -689,7 +730,7 @@ def tetra_quadrature(spec: TetraSpec, M1: int, M2: int, M3: int,
             2.0 * np.pi * spec.h * spec.dp * spec.s * w * v * Wx, M3)],
         node_map)
     q = QuadratureND(weights=weights, nodes=nodes,
-                     region_tag=tetrahedron_region(spec.h, spec.dp, spec.s),
+                     region=tetrahedron_region(spec.h, spec.dp, spec.s),
                      provenance={"construction": "tetra-cascade",
                                  "M1": M1, "M2": M2, "M3": M3,
                                  "target_box": _box_provenance(target_box)})
@@ -824,10 +865,14 @@ def k_cone(spec: ConeSpec, t, x):
     return _k_cone_3(spec, t, x)
 
 
-def _spatial_radius(x):
-    """|x| for radii (scalar or 1-D x), row norms for points (2-D or more)."""
+def _spatial_radius(x, n: int):
+    """|x| for radii (scalar or 1-D x), row norms for n-dimensional points
+    (2-D or more, last axis of length n)."""
     x = np.asarray(x, dtype=float)
     if x.ndim >= 2:
+        if x.shape[-1] != n:
+            raise ValueError("spatial points need a last axis of length %d"
+                             % n)
         return np.sqrt(np.sum(x * x, axis=-1))
     return np.abs(x)
 
@@ -873,7 +918,7 @@ def _sph_ratio(beta: float) -> float:
 def _k_cone_2(spec: ConeSpec, t, x):
     w0, p = spec.omega0, spec.pmax
     t = np.asarray(t, dtype=float)
-    r = _spatial_radius(x)
+    r = _spatial_radius(x, spec.n)
     t, r = np.broadcast_arrays(t, r)
     flat_t, flat_r = t.ravel(), r.ravel()
     out = np.empty(flat_t.shape, dtype=complex)
@@ -895,7 +940,7 @@ def _k_cone_2(spec: ConeSpec, t, x):
 def _k_cone_3(spec: ConeSpec, t, x):
     w0, p = spec.omega0, spec.pmax
     t = np.asarray(t, dtype=float)
-    r = _spatial_radius(x)
+    r = _spatial_radius(x, spec.n)
     t, r = np.broadcast_arrays(t, r)
     a = 2.0 * np.pi * w0 * t
     kap = 2.0 * np.pi * w0 * p
@@ -1098,7 +1143,7 @@ def cone_quadrature(spec: ConeSpec, M_w: int, M_p: int, M_t: int,
             2.0 * np.pi * w0 * abs(Om) * p * Wr, M_p, power=1),
         lambda Om, rho: ring], node_map)
     q = QuadratureND(weights=weights, nodes=nodes,
-                     region_tag=cone_region(w0, p, 2),
+                     region=cone_region(w0, p, 2),
                      provenance={"construction": "cone-cascade",
                                  "M_w": M_w, "M_p": M_p, "M_t": M_t,
                                  "target_box": _box_provenance(target_box)})
@@ -1118,7 +1163,7 @@ def k_ball(k_max: float, x):
     points along its last axis.
     """
     _require_positive(k_max=k_max)
-    r = _spatial_radius(x)
+    r = _spatial_radius(x, 3)
     u = 2.0 * np.pi * k_max * np.asarray(r, dtype=float)
     small = np.abs(u) <= _DQ_CUT
     us = np.where(small, 1.0, u)
@@ -1150,7 +1195,7 @@ def ball_quadrature(k_max: float, M_r: int, M_th: int, M_t: int,
         lambda rho: symmetric_sinc_rule(2.0 * np.pi * k_max * rho * WR, M_th),
         lambda rho, tau: ring], node_map)
     q = QuadratureND(weights=weights, nodes=nodes,
-                     region_tag=ball_region(k_max),
+                     region=ball_region(k_max),
                      provenance={"construction": "ball-cascade",
                                  "M_r": M_r, "M_th": M_th, "M_t": M_t,
                                  "target_box": _box_provenance(target_box)})

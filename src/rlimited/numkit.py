@@ -85,11 +85,14 @@ def power_exp_integral(k: int, z) -> complex:
 
 @dataclass(frozen=True)
 class PointSet:
-    """A finite list of points in R^d, shape (n, d)."""
+    """A finite list of points in R^d, shape (n, d); a scalar or 1-D array
+    holds one-dimensional points."""
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = np.asarray(self.points, dtype=float)
+        if pts.ndim < 2:
+            pts = pts.reshape(-1, 1)
         if pts.ndim != 2:
             raise ValueError("points must have shape (n, d), got %r"
                              % (pts.shape,))

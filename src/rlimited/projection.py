@@ -12,26 +12,23 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from scipy.integrate import quad
 
 from .numkit import sinc, PointSet, SampledField, grid_axes
 from .moments import Quadrature1D, uniform_rule
 from .sincapprox import CosineSumApprox, error_epsilon_B
-from .kernels import (Region, QuadratureND, interval_region,
-                      region_contains, region_dim, region_kernel_exact,
-                      region_to_json, region_from_json, _as_points,
-                      _error_profile)
+from .kernels import (QuadratureND, interval_region, region_dim,
+                      region_kernel_exact, _as_points, _error_profile)
 
 __all__ = [
-    "ExpSumKernel", "ProjectionResult", "expsum_kernel", "region_dim",
+    "ProjectionResult", "expsum_kernel", "region_dim",
     "region_kernel_exact", "bandlimited_projection_oracle",
     "discrete_fourier_repr_1d", "discrete_repr_error_bound",
     "nyquist_delta_train_check", "sampling_interpolation_1d",
     "sampling_interpolation_scaled", "reconstruction_stability_constant",
     "rlimited_discrete_fourier", "ra_sampling_interpolation",
     "patched_projection", "patched_sample_points",
-    "expsum_kernel_to_json", "expsum_kernel_from_json",
     "needed_base_box", "measure_kernel_profile",
 ]
 
@@ -42,109 +39,37 @@ _MU_MIN = 1e-8
 # exponential-sum kernels
 
 
-@dataclass
-class ExpSumKernel:
-    """Finite stand-in for kappa_B: sum_m w_m e^{i 2 pi (B k_m).x}.
-
-    weights are the band-scaled weights (summing to the measure of B R);
-    nodes are base frequencies k_m inside the region.  error_profile, when
-    present, bounds |K_R - base sum| over a base-coordinate box, so the
-    scaled kernel is accurate wherever B^T x stays inside that box.
-    """
-    weights: np.ndarray
-    nodes: np.ndarray
-    region: Region
-    band: np.ndarray
-    error_profile: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        self.nodes = np.atleast_2d(np.asarray(self.nodes, dtype=float))
-        Bm = np.atleast_2d(np.asarray(self.band, dtype=float))
-        if Bm.shape[0] != Bm.shape[1] or Bm.shape[0] != self.nodes.shape[1]:
-            raise ValueError("band matrix shape does not match node dim")
-        if abs(float(np.linalg.det(Bm))) <= 1e-14:
-            raise ValueError("band matrix is singular")
-        self.band = Bm
-        if len(self.weights) != len(self.nodes):
-            raise ValueError("weights/nodes length mismatch")
-        inside = region_contains(self.region, self.nodes, tol=1e-9)
-        if not np.all(inside):
-            raise ValueError("%d kernel nodes fall outside the region"
-                             % int(np.sum(~inside)))
-
-    def det_band(self) -> float:
-        return abs(float(np.linalg.det(self.band)))
-
-    def base_weights(self) -> np.ndarray:
-        return self.weights / self.det_band()
-
-    def scaled_nodes(self) -> np.ndarray:
-        return self.nodes @ self.band.T
-
-    def eval(self, x):
-        """The surrogate kappa_B at physical offsets x."""
-        flat, lead = _as_points(x, self.nodes.shape[1])
-        out = np.exp(2j * np.pi * (flat @ self.scaled_nodes().T)) \
-            @ self.weights.astype(complex)
-        out = out.reshape(lead)
-        return complex(out) if lead == () else out
-
-    def scaled_error_max(self) -> float:
-        if not self.error_profile:
-            return math.inf
-        return float(self.error_profile["max_err"])
-
-
-def expsum_kernel(q, band=None) -> ExpSumKernel:
+def expsum_kernel(q, band=None) -> QuadratureND:
     """Attach a band to a quadrature rule.
 
-    A symmetric 1D frequency rule becomes an interval kernel (weights
-    already sum to 2 B); a QuadratureND brings its region tag and error
-    profile, and the weights get the |det B| scaling here.
+    A symmetric 1D frequency rule becomes an interval cloud (weights
+    already sum to 2 B); a cascade QuadratureND becomes a copy whose
+    weights and error profile get the |det B| scaling here.
     """
     if isinstance(q, Quadrature1D):
         if not q.symmetric:
             raise ValueError("1D kernels need a symmetric rule")
         B0 = float(np.atleast_2d(q.band if band is None else band)[0, 0])
         w = np.asarray(q.weights, dtype=float) * (B0 / float(q.band))
-        return ExpSumKernel(weights=w,
+        return QuadratureND(weights=w,
                             nodes=np.asarray(q.nodes, dtype=float)[:, None],
-                            region=interval_region(),
-                            band=np.array([[B0]]),
-                            error_profile={})
+                            region=interval_region(), band=np.array([[B0]]))
     if not isinstance(q, QuadratureND):
         raise TypeError("expected Quadrature1D or QuadratureND")
     d = q.nodes.shape[1]
+    if not np.array_equal(q.band, np.eye(d)):
+        raise ValueError("the node cloud already carries a band")
     Bm = np.atleast_2d(np.asarray(np.eye(d) if band is None else band,
                                   dtype=float))
     det = abs(float(np.linalg.det(Bm)))
-    prof = dict(q.provenance.get("error_profile", {}))
+    prov = dict(q.provenance)
+    prof = prov.get("error_profile")
     if prof:
-        prof = {"max_err": det * float(prof["max_err"]),
-                "box": [list(map(float, b)) for b in prof["box"]],
-                "grid_n": int(prof.get("grid_n", 0))}
-    return ExpSumKernel(weights=det * np.asarray(q.weights, dtype=float),
-                        nodes=np.asarray(q.nodes, dtype=float),
-                        region=q.region_tag, band=Bm, error_profile=prof)
-
-
-def expsum_kernel_to_json(kernel: ExpSumKernel) -> dict:
-    return {
-        "weights": [float(w) for w in kernel.weights],
-        "nodes": [[float(c) for c in row] for row in kernel.nodes],
-        "band": [[float(c) for c in row] for row in kernel.band],
-        "region": region_to_json(kernel.region),
-        "error_profile": _plain(kernel.error_profile),
-    }
-
-
-def expsum_kernel_from_json(doc: dict) -> ExpSumKernel:
-    return ExpSumKernel(weights=np.asarray(doc["weights"], dtype=float),
-                        nodes=np.asarray(doc["nodes"], dtype=float),
-                        region=region_from_json(doc["region"]),
-                        band=np.asarray(doc["band"], dtype=float),
-                        error_profile=dict(doc.get("error_profile", {})))
+        prov["error_profile"] = {
+            "max_err": det * float(prof["max_err"]),
+            "box": [list(map(float, b)) for b in prof["box"]],
+            "grid_n": int(prof.get("grid_n", 0))}
+    return replace(q, weights=det * q.weights, band=Bm, provenance=prov)
 
 
 @dataclass
@@ -416,11 +341,11 @@ def _grid_fhat(f: SampledField, xi: np.ndarray):
     return out, support
 
 
-def _coverage_check(kernel: ExpSumKernel, eval_pts: np.ndarray,
+def _coverage_check(kernel: QuadratureND, eval_pts: np.ndarray,
                     support_box) -> None:
     """Every difference (eval - support) must map inside the kernel's
     verified base box under B^T."""
-    prof = kernel.error_profile
+    prof = kernel.provenance.get("error_profile")
     if not prof:
         raise ValueError("kernel carries no error profile to verify "
                          "coverage against")
@@ -433,7 +358,7 @@ def _coverage_check(kernel: ExpSumKernel, eval_pts: np.ndarray,
                          "difference set of evaluation points and support")
 
 
-def needed_base_box(kernel: ExpSumKernel, eval_pts: np.ndarray,
+def needed_base_box(kernel: QuadratureND, eval_pts: np.ndarray,
                     support_box) -> list:
     """Base-coordinate box that covers every evaluation-minus-support
     difference once mapped through B^T; linearity puts the extremes at
@@ -449,8 +374,8 @@ def needed_base_box(kernel: ExpSumKernel, eval_pts: np.ndarray,
                                                  mapped.max(axis=0))]
 
 
-def measure_kernel_profile(kernel: ExpSumKernel, base_box,
-                           grid_n: int = 101) -> ExpSumKernel:
+def measure_kernel_profile(kernel: QuadratureND, base_box,
+                           grid_n: int = 101) -> QuadratureND:
     """Copy of the kernel carrying a freshly measured error profile.
 
     The surrogate is compared against the exact closed-form region kernel
@@ -460,15 +385,14 @@ def measure_kernel_profile(kernel: ExpSumKernel, base_box,
     det = kernel.det_band()
     inv = np.linalg.inv(kernel.band)
     prof = _error_profile(
-        lambda Y: kernel.eval(Y @ inv),
+        lambda Y: kernel.eval_sum(Y @ inv),
         lambda Y: det * region_kernel_exact(kernel.region, Y),
         base_box, grid_n)
-    return ExpSumKernel(weights=kernel.weights, nodes=kernel.nodes,
-                        region=kernel.region, band=kernel.band,
-                        error_profile=prof)
+    return replace(kernel, provenance={**kernel.provenance,
+                                       "error_profile": prof})
 
 
-def rlimited_discrete_fourier(f: SampledField, kernel: ExpSumKernel, x,
+def rlimited_discrete_fourier(f: SampledField, kernel: QuadratureND, x,
                               check_coverage: bool = True) -> ProjectionResult:
     """Project grid samples onto the kernel's scaled exponentials:
     out(x) = sum_m w_m fhat(B k_m) e^{i 2 pi (B k_m).x}.
@@ -503,7 +427,7 @@ def rlimited_discrete_fourier(f: SampledField, kernel: ExpSumKernel, x,
 # transformed-region sampling reconstruction
 
 
-def _kappa_matrix(kernel: ExpSumKernel, diffs: np.ndarray) -> np.ndarray:
+def _kappa_matrix(kernel: QuadratureND, diffs: np.ndarray) -> np.ndarray:
     """kappa_B on a stack of base-coordinate differences: the exact region
     kernel at B delta, scaled by |det B|."""
     det = kernel.det_band()
@@ -513,7 +437,7 @@ def _kappa_matrix(kernel: ExpSumKernel, diffs: np.ndarray) -> np.ndarray:
     return det * np.asarray(K, dtype=complex).reshape(shape)
 
 
-def ra_sampling_interpolation(f_at_transformed_nodes, kernel: ExpSumKernel,
+def ra_sampling_interpolation(f_at_transformed_nodes, kernel: QuadratureND,
                               A, x, basis=None,
                               regularization: str = "kernel",
                               mu_min: float = _MU_MIN) -> ProjectionResult:

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 from .numkit import sinc
 from .moments import Quadrature1D
-from .kernels import region_kernel_exact
+from .kernels import (QuadratureND, region_kernel_exact, region_to_json,
+                      region_from_json)
 
 _TIE_TOL = 1e-10
 
@@ -164,6 +165,9 @@ def extend_prolate(ev: ProlateEvaluator, n: int, t, mu_min: float = 1e-8):
     refused rather than silently extended.
     """
     b = ev.basis
+    if not isinstance(b.quadrature, Quadrature1D):
+        raise ValueError("extension formulas need a 1D basis, not a "
+                         "node-cloud (ND) one")
     if not 0 <= n < len(b):
         raise IndexError("eigenpair index %d out of range" % n)
     mu = float(b.eigenvalues_mu[n])
@@ -191,43 +195,37 @@ def extend_prolate(ev: ProlateEvaluator, n: int, t, mu_min: float = 1e-8):
 # ND region eigensystems
 
 
-def _band_matrix(kernel, B) -> np.ndarray:
-    Bm = kernel.band if B is None else B
-    Bm = np.atleast_2d(np.asarray(Bm, dtype=float))
-    if Bm.shape[0] != Bm.shape[1]:
-        raise ValueError("band must be a square matrix")
-    return Bm
-
-
-def rslepian_exp_eigensystem(kernel, B=None) -> EigenBasis:
+def rslepian_exp_eigensystem(kernel: QuadratureND) -> EigenBasis:
     """ND exponential system over the kernel's own node cloud.
 
-    E[l,m] = w_m e^{i 2 pi (B k_m) . k_l} with the base weights w; the
-    eigenvalue relation becomes mu = |det B| |lambda|^2.  B must be
-    symmetric so the weight-symmetrized matrix is complex symmetric.
+    E[l,m] = w_m e^{i 2 pi (B k_m) . k_l} with the base weights w and the
+    kernel's band B; the eigenvalue relation becomes
+    mu = |det B| |lambda|^2.  B must be symmetric so the
+    weight-symmetrized matrix is complex symmetric.
     """
-    Bm = _band_matrix(kernel, B)
+    Bm = kernel.band
     if not np.allclose(Bm, Bm.T, atol=1e-12 * max(1.0, np.abs(Bm).max())):
         raise ValueError("exponential eigensystem needs symmetric band")
     w = _positive_weights(kernel.base_weights())
-    nodes = np.atleast_2d(np.asarray(kernel.nodes, dtype=float))
+    nodes = kernel.nodes
     d = np.sqrt(w)
     phase = 2j * np.pi * (nodes @ Bm.T @ nodes.T).T
     A_hat = d[:, None] * d[None, :] * np.exp(phase)
-    det = abs(float(np.linalg.det(Bm)))
+    det = kernel.det_band()
     return _solve(A_hat, d, det, kernel, Bm, False, {"det_band": det})
 
 
-def rslepian_kernel_eigensystem(kernel, B=None) -> EigenBasis:
-    """ND kernel system S[l,m] = w_m |det B| K_R(B (k_l - k_m)).
+def rslepian_kernel_eigensystem(kernel: QuadratureND) -> EigenBasis:
+    """ND kernel system S[l,m] = w_m |det B| K_R(B (k_l - k_m)) with the
+    kernel's band B.
 
     The weight-symmetrized matrix is Hermitian PSD (real for symmetric
     regions); eigh returns the concentration eigenvalues mu directly.
     """
-    Bm = _band_matrix(kernel, B)
+    Bm = kernel.band
     w = _positive_weights(kernel.base_weights())
-    nodes = np.atleast_2d(np.asarray(kernel.nodes, dtype=float))
-    det = abs(float(np.linalg.det(Bm)))
+    nodes = kernel.nodes
+    det = kernel.det_band()
     diffs = (nodes[:, None, :] - nodes[None, :, :]) @ Bm.T
     K = np.asarray(region_kernel_exact(kernel.region,
                                        diffs.reshape(-1, nodes.shape[1])),
@@ -263,21 +261,24 @@ def _c_from_json(d) -> np.ndarray:
 def eigenbasis_to_json(b: EigenBasis) -> dict:
     nodes = np.asarray(b.quadrature.nodes, dtype=float)
     band = b.band
-    return {"kind": b.kind,
-            "mu": [float(m) for m in b.eigenvalues_mu],
-            "lambda": _c_to_json(b.eigenvalues_lambda),
-            "eigenvectors": _c_to_json(b.eigenvectors),
-            "nodes": nodes.tolist(),
-            "weights": np.asarray(b.quadrature.weights,
-                                  dtype=float).tolist(),
-            "band": band.tolist() if isinstance(band, np.ndarray)
-            else float(band),
-            "provenance": dict(b.provenance)}
+    doc = {"kind": b.kind,
+           "mu": [float(m) for m in b.eigenvalues_mu],
+           "lambda": _c_to_json(b.eigenvalues_lambda),
+           "eigenvectors": _c_to_json(b.eigenvectors),
+           "nodes": nodes.tolist(),
+           "weights": np.asarray(b.quadrature.weights,
+                                 dtype=float).tolist(),
+           "band": band.tolist() if isinstance(band, np.ndarray)
+           else float(band),
+           "provenance": dict(b.provenance)}
+    if isinstance(b.quadrature, QuadratureND):
+        doc["region"] = region_to_json(b.quadrature.region)
+    return doc
 
 
 def eigenbasis_from_json(d: dict) -> EigenBasis:
-    """Rebuild the eigenpairs; the quadrature comes back as a bare
-    weight/node record, sufficient for extension formulas."""
+    """Rebuild the eigenpairs with their rule: a Quadrature1D for 1D
+    documents, the banded node cloud for ND ones."""
     band = d["band"]
     band = np.asarray(band, dtype=float) if isinstance(band, list) \
         else float(band)
@@ -287,15 +288,12 @@ def eigenbasis_from_json(d: dict) -> EigenBasis:
                          nodes=nodes, band=float(np.atleast_1d(band)[0]),
                          symmetric=True)
     else:
-        q = _NodeCloud(np.asarray(d["weights"], dtype=float), nodes)
+        q = QuadratureND(weights=np.asarray(d["weights"], dtype=float),
+                         nodes=nodes, region=region_from_json(d["region"]),
+                         band=band)
     return EigenBasis(eigenvalues_mu=np.asarray(d["mu"], dtype=float),
                       eigenvalues_lambda=_c_from_json(d["lambda"]),
                       eigenvectors=_c_from_json(d["eigenvectors"]),
                       quadrature=q, band=band, kind=d["kind"],
                       provenance=dict(d.get("provenance", {})))
 
-
-@dataclass
-class _NodeCloud:
-    weights: np.ndarray
-    nodes: np.ndarray

@@ -169,6 +169,34 @@ def test_project_round_trip(tmp_path, capsys, project_inputs):
     assert doc["provenance"]["route"] == "discrete-fourier"
 
 
+def test_project_reads_banded_kernel_layout(tmp_path, capsys,
+                                            project_inputs):
+    # the kernel JSON layout with a top-level band and error profile, here
+    # the interval kernel of the band-2 frequency rule (band [[2.0]])
+    fpath, kpath, _ = project_inputs
+    fr = frequency_rule(build_sinc_cosine_approx(2.0, 10))
+    kernel = {"weights": [float(w) for w in fr.weights],
+              "nodes": [[float(k)] for k in fr.nodes],
+              "band": [[2.0]],
+              "region": {"kind": "interval", "params": {},
+                         "symmetric": True},
+              "error_profile": {"max_err": 1e-14,  # a stand-in value
+                                "box": [[-5.0, 5.0]],
+                                "grid_n": 2001}}
+    banded = tmp_path / "kernel.json"
+    banded.write_text(json.dumps(kernel))
+    outs = tmp_path / "rule", tmp_path / "kernel"
+    for kernel_path, out in zip((kpath, banded), outs):
+        assert main(["project", "--field", str(fpath), "--kernel",
+                     str(kernel_path), "--out", str(out)]) == 0
+    # the rule route measures a profile; the kernel route uses its own
+    assert capsys.readouterr().out.count("measured kernel profile") == 1
+    assert (outs[0] / "projection.csv").read_bytes() \
+        == (outs[1] / "projection.csv").read_bytes()
+    doc = json.load(open(outs[1] / "projection_bound.json"))
+    assert doc["error_bound"] == 2.0 * 1.0 * 1e-14  # |X| max|f| max_err
+
+
 def test_project_missing_field_exit_2(tmp_path, capsys, project_inputs):
     _, kpath, _ = project_inputs
     rc = main(["project", "--field", str(tmp_path / "nope.csv"),

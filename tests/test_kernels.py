@@ -182,6 +182,16 @@ def test_1d_spatial_input_holds_radii():
                                 for ti, ri in zip(t, rc)])
 
 
+def test_spatial_points_need_the_spatial_width():
+    # 2-D points are not 3-D ball offsets, nor 5-D ones planar cone offsets
+    with pytest.raises(ValueError):
+        K.k_ball(1.0, np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        K.k_cone(K.ConeSpec(1.0, 1.0, 2), 0.1, np.zeros((2, 5)))
+    with pytest.raises(ValueError):
+        K.k_cone(K.ConeSpec(1.0, 1.0, 3), 0.1, np.zeros((2, 2)))
+
+
 def test_k_ball_against_quadrature_oracle():
     km = 1.7
 
@@ -298,22 +308,22 @@ def test_quadrature_weight_totals():
 def test_cascade_profiles_and_containment():
     tq = K.triangle_quadrature(TRI, 6, 6, profile_grid=21)
     assert tq.provenance["error_profile"]["max_err"] < 1e-13
-    assert K.region_contains(tq.region_tag, tq.nodes, tol=1e-9).all()
+    assert K.region_contains(tq.region, tq.nodes, tol=1e-9).all()
 
     eq = K.equilateral_symmetric_quadrature(4, 4, profile_grid=11)
     assert eq.provenance["error_profile"]["max_err"] < 1e-8
-    assert K.region_contains(eq.region_tag, eq.nodes, tol=1e-9).all()
+    assert K.region_contains(eq.region, eq.nodes, tol=1e-9).all()
 
     tt = K.tetra_quadrature(TET, 6, 5, 4, target_box=((-0.3, 0.3),) * 3,
                             profile_grid=5)
     assert tt.provenance["error_profile"]["max_err"] < 1e-13
-    assert K.region_contains(tt.region_tag, tt.nodes, tol=1e-9).all()
+    assert K.region_contains(tt.region, tt.nodes, tol=1e-9).all()
 
     vol = 4 * np.pi * 1.3 ** 3 / 3
     bq = K.ball_quadrature(1.3, 7, 6, 4, target_box=((-0.4, 0.4),) * 3,
                            profile_grid=5)
     assert bq.provenance["error_profile"]["max_err"] < 1e-3 * vol
-    assert K.region_contains(bq.region_tag, bq.nodes, tol=1e-9).all()
+    assert K.region_contains(bq.region, bq.nodes, tol=1e-9).all()
 
 
 PROFILE_BUILDERS = {
@@ -336,7 +346,7 @@ def test_recorded_profile_matches_measure_kernel_profile(name):
     q = PROFILE_BUILDERS[name]()
     prof = q.provenance["error_profile"]
     again = measure_kernel_profile(expsum_kernel(q), prof["box"],
-                                   prof["grid_n"]).error_profile
+                                   prof["grid_n"]).provenance["error_profile"]
     if name != "tetra-symmetric":
         assert again == prof
         return
@@ -358,7 +368,7 @@ def test_cone_cascade_profile_improves_with_terms():
     e_lo = lo.provenance["error_profile"]["max_err"]
     e_hi = hi.provenance["error_profile"]["max_err"]
     assert e_hi < 0.1 * e_lo, (e_lo, e_hi)
-    assert K.region_contains(lo.region_tag, lo.nodes, tol=1e-9).all()
+    assert K.region_contains(lo.region, lo.nodes, tol=1e-9).all()
 
 
 def test_quadrature_nd_json_round_trip():
@@ -366,23 +376,45 @@ def test_quadrature_nd_json_round_trip():
     back = K.quadrature_nd_from_json(K.quadrature_nd_to_json(eq))
     assert np.array_equal(back.nodes, eq.nodes)
     assert np.array_equal(back.weights, eq.weights)
-    assert back.region_tag == eq.region_tag
+    assert back.region == eq.region
     assert len(back.symmetry_group) == 3
     plain = K.triangle_quadrature(TRI, 3, 3, profile_grid=0)
-    back2 = K.quadrature_nd_from_json(K.quadrature_nd_to_json(plain))
+    doc = K.quadrature_nd_to_json(plain)
+    assert "band" not in doc  # identity band: cascade layout unchanged
+    back2 = K.quadrature_nd_from_json(doc)
     assert back2.symmetry_group is None
+    assert np.array_equal(back2.band, np.eye(2))
 
 
 def test_quadrature_nd_validation_and_eval():
-    with pytest.raises(ValueError):
-        K.QuadratureND(weights=np.ones(3), nodes=np.zeros((2, 2)),
-                       region_tag=K.interval_region())
+    tri = K.triangle_region(0.8, 0.7)
+    inside = np.array([[0.4, 0.1], [0.5, -0.2]])
+    for bad in (dict(weights=np.ones(3), nodes=inside),       # lengths
+                dict(weights=np.ones(2), nodes=inside + 2.0),  # outside
+                dict(weights=np.ones(2), nodes=inside,
+                     band=np.ones((2, 3))),                    # not square
+                dict(weights=np.ones(2), nodes=inside,
+                     band=np.eye(3)),                          # not d x d
+                dict(weights=np.ones(2), nodes=inside,
+                     band=np.ones((2, 2)))):                   # singular
+        with pytest.raises(ValueError):
+            K.QuadratureND(region=tri, **bad)
     q = K.triangle_quadrature(TRI, 3, 3, profile_grid=0)
     one = q.eval_sum(np.array([0.1, 0.2]))
     many = q.eval_sum(np.array([[0.1, 0.2], [0.0, 0.0]]))
     assert np.ndim(one) == 0 and many.shape == (2,)
     assert abs(many[0] - one) < 1e-15
     assert abs(many[1] - q.weights.sum()) < 1e-14
+    # a 1-D cloud reads a flat array as n points
+    line = K.QuadratureND(weights=np.array([0.5, 1.5]),
+                          nodes=np.array([[-0.5], [0.25]]),
+                          region=K.interval_region(), band=[[2.0]])
+    x = np.array([0.1, -0.3, 0.7])
+    got = line.eval_sum(x)
+    want = np.exp(2j * np.pi * np.outer(x, [-1.0, 0.5])) @ [0.5, 1.5]
+    assert got.shape == (3,)
+    assert np.max(np.abs(got - want)) < 1e-15
+    assert np.array_equal(line.eval_sum(x[:, None]), got)
 
 
 def test_region_transform_and_union_semantics():

@@ -68,6 +68,11 @@ def test_pointset_validation():
     assert len(p.points) == 5
     with pytest.raises(ValueError):
         PointSet(np.zeros((2, 3, 4)))
+    # a flat array holds n one-dimensional points
+    line = PointSet(np.array([0.1, 0.2, 0.3]))
+    assert line.points.shape == (3, 1)
+    fld = SampledField(line, np.ones(3))
+    assert len(fld.points) == 3
 
 
 def test_sampled_field_length_mismatch():

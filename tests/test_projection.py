@@ -362,25 +362,27 @@ def test_needed_base_box_covers_all_differences(freq_rule):
 def test_measure_kernel_profile_recompute(freq_rule):
     kern = P.measure_kernel_profile(P.expsum_kernel(freq_rule),
                                     [[-2.0, 2.0]], grid_n=201)
-    prof = kern.error_profile
+    prof = kern.provenance["error_profile"]
     Y = np.linspace(-2.0, 2.0, 201)[:, None]
     exact = kern.det_band() * np.asarray(
         P.region_kernel_exact(kern.region, Y[:, 0]))
     X = Y @ np.linalg.inv(kern.band)
-    direct = float(np.max(np.abs(kern.eval(X) - exact)))
+    direct = float(np.max(np.abs(kern.eval_sum(X) - exact)))
     assert prof["max_err"] == direct
 
 
 def test_expsum_kernel_json_round_trip(freq_rule):
     kern = P.measure_kernel_profile(P.expsum_kernel(freq_rule),
                                     [[-2.0, 2.0]], grid_n=51)
-    doc = json.loads(json.dumps(P.expsum_kernel_to_json(kern)))
-    back = P.expsum_kernel_from_json(doc)
+    doc = json.loads(json.dumps(K.quadrature_nd_to_json(kern)))
+    assert doc["band"] == [[B]]
+    back = K.quadrature_nd_from_json(doc)
     assert np.array_equal(back.weights, kern.weights)
     assert np.array_equal(back.nodes, kern.nodes)
     assert np.array_equal(back.band, kern.band)
     assert back.region == kern.region
-    assert back.error_profile["max_err"] == kern.error_profile["max_err"]
+    assert back.provenance["error_profile"]["max_err"] \
+        == kern.provenance["error_profile"]["max_err"]
 
 
 def test_expsum_kernel_guards(freq_rule):
@@ -391,6 +393,9 @@ def test_expsum_kernel_guards(freq_rule):
         P.expsum_kernel(gauss_legendre_01(4))
     # a node outside the declared region is refused
     with pytest.raises(ValueError):
-        P.ExpSumKernel(weights=np.array([1.0]), nodes=np.array([[2.0]]),
+        K.QuadratureND(weights=np.array([1.0]), nodes=np.array([[2.0]]),
                        region=K.interval_region(),
                        band=np.array([[1.0]]))
+    # a band is attached once
+    with pytest.raises(ValueError):
+        P.expsum_kernel(P.expsum_kernel(freq_rule), band=[[1.0]])

@@ -66,7 +66,7 @@ def test_extensions_agree_off_nodes(exp_basis, ker_basis):
     assert np.max(np.abs(e0 - phase * k0)) < 1e-8
 
 
-def test_extension_guards(exp_basis):
+def test_extension_guards(exp_basis, freq_rule):
     ev = P.ProlateEvaluator(exp_basis)
     with pytest.raises(IndexError):
         P.extend_prolate(ev, len(exp_basis), 0.0)
@@ -75,6 +75,10 @@ def test_extension_guards(exp_basis):
         P.extend_prolate(ev, len(exp_basis) - 1, 0.0, mu_min=1e-8)
     with pytest.raises(ValueError):
         P.ProlateEvaluator(exp_basis, mode="midpoint")
+    # the extension formulas are 1D; an ND (node-cloud) basis is refused
+    nd = P.rslepian_exp_eigensystem(expsum_kernel(freq_rule))
+    with pytest.raises(ValueError):
+        P.extend_prolate(P.ProlateEvaluator(nd), 0, 0.0)
 
 
 def test_eigensystem_input_guards(freq_rule):
@@ -139,14 +143,14 @@ def test_rslepian_triangle_trace_identity():
 def test_rslepian_rejects_asymmetric_band(freq_rule):
     tq = K.triangle_quadrature(K.TriangleSpec(0.8, 0.7), 3, 3,
                                profile_grid=0)
-    kern = expsum_kernel(tq)
+    kern = expsum_kernel(tq, band=np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        P.rslepian_exp_eigensystem(kern, B=np.array([[1.0, 0.5],
-                                                     [0.0, 1.0]]))
+        P.rslepian_exp_eigensystem(kern)
 
 
 def test_eigenbasis_json_round_trip(exp_basis):
     doc = json.loads(json.dumps(P.eigenbasis_to_json(exp_basis)))
+    assert "region" not in doc  # 1D documents keep their layout
     back = P.eigenbasis_from_json(doc)
     assert np.array_equal(back.eigenvalues_mu, exp_basis.eigenvalues_mu)
     assert np.array_equal(back.eigenvectors, exp_basis.eigenvectors)
@@ -155,3 +159,22 @@ def test_eigenbasis_json_round_trip(exp_basis):
     orig = P.extend_prolate(P.ProlateEvaluator(exp_basis), 0, t)
     rebuilt = P.extend_prolate(P.ProlateEvaluator(back), 0, t)
     assert np.array_equal(orig, rebuilt)
+
+
+def test_nd_eigenbasis_json_round_trip():
+    tq = K.triangle_quadrature(K.TriangleSpec(0.8, 0.7), 3, 3,
+                               profile_grid=0)
+    kern = expsum_kernel(tq, band=np.array([[1.2, 0.3], [0.3, 0.8]]))
+    for basis in (P.rslepian_exp_eigensystem(kern),
+                  P.rslepian_kernel_eigensystem(kern)):
+        doc = json.loads(json.dumps(P.eigenbasis_to_json(basis)))
+        back = P.eigenbasis_from_json(doc)
+        assert np.array_equal(back.eigenvalues_mu, basis.eigenvalues_mu)
+        assert np.array_equal(back.eigenvectors, basis.eigenvectors)
+        assert np.array_equal(back.band, kern.band)
+        q = back.quadrature
+        assert isinstance(q, K.QuadratureND)
+        assert np.array_equal(q.band, kern.band)
+        assert np.array_equal(q.weights, kern.weights)
+        assert np.array_equal(q.nodes, kern.nodes)
+        assert q.region == kern.region
