@@ -897,14 +897,15 @@ def _k_cone_1(spec: ConeSpec, t, x):
     return complex(out) if out.ndim == 0 else out
 
 
-def _j1c(z):
-    """J1(z)/z with the limit 1/2 at zero."""
-    z = np.asarray(z, dtype=float)
-    small = np.abs(z) <= 1e-4
-    zs = np.where(small, 1.0, z)
-    series = 0.5 - z * z / 16.0 + z ** 4 / 384.0
-    out = np.where(small, series, bessel_j1(zs) / zs)
-    return float(out) if out.ndim == 0 else out
+def _j1c(z: float) -> float:
+    """J1(z)/z of a float z, with the limit 1/2 at zero.
+
+    Scalar on purpose: it is the integrand of a per-point `quad`, where
+    array round trips cost more than the arithmetic.
+    """
+    if abs(z) <= 1e-4:
+        return 0.5 - z * z / 16.0 + z ** 4 / 384.0
+    return bessel_j1(z) / z
 
 
 def _sph_ratio(beta: float) -> float:

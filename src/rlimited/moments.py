@@ -69,8 +69,9 @@ def preset_moments(name: str, B: float, N_mom: int) -> MomentSequence:
     ratio = _preset_ratio(name, B)
     h = np.empty(N_mom + 1)
     h[0] = 1.0
-    for n in range(1, N_mom + 1):
-        h[n] = h[n - 1] * ratio(n)
+    with np.errstate(over="ignore"):      # reported just below
+        for n in range(1, N_mom + 1):
+            h[n] = h[n - 1] * ratio(n)
     if not np.isfinite(h).all():
         bad = int(np.argmax(~np.isfinite(h)))
         raise OverflowError("preset %r overflows at n=%d (B=%g)"

@@ -113,6 +113,8 @@ def bandlimited_projection_oracle(f, B: float, t, support=(-1.0, 1.0),
 
     The integrand is split at the sinc peak; this is the reference every
     1D projection route is tested against, so accuracy beats speed here.
+    The verify suite uses a composite Gauss oracle instead, which the tests
+    cross-check against this one.
     """
     lo, hi = float(support[0]), float(support[1])
     ts = np.atleast_1d(np.asarray(t, dtype=float))

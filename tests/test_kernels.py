@@ -9,6 +9,7 @@ from scipy.special import j1 as bessel_j1
 from rlimited import kernels as K
 from rlimited.moments import (Quadrature1D, preset_moments,
                               solve_moment_problem)
+from rlimited.numkit import sinc
 from rlimited.projection import expsum_kernel, measure_kernel_profile
 
 TRI = K.TriangleSpec(0.8, 0.7)
@@ -149,6 +150,63 @@ def test_k_cone_n2_against_bessel_oracle():
                  (0.02, 0.005)]:
         rel = abs(K.k_cone(spec, t, r) - oracle(t, r)) / spec.measure
         assert rel < 1e-9, (t, r, rel)
+
+
+def _k_cone_2_array_integrand(spec, t, r):
+    """The n=2 cone kernel with the array-valued J1(z)/z integrand it had
+    before the scalar one: the reference k_cone must match bit for bit."""
+    def j1c(z):
+        z = np.asarray(z, dtype=float)
+        small = np.abs(z) <= 1e-4
+        zs = np.where(small, 1.0, z)
+        series = 0.5 - z * z / 16.0 + z ** 4 / 384.0
+        out = np.where(small, series, bessel_j1(zs) / zs)
+        return float(out) if out.ndim == 0 else out
+
+    w0, p = spec.omega0, spec.pmax
+    t, r = np.broadcast_arrays(np.asarray(t, float), np.asarray(r, float))
+    out = np.empty(t.size, dtype=complex)
+    pref = 4.0 * np.pi * w0 ** 3 * p ** 2
+    for i, (ti, ri) in enumerate(zip(t.ravel(), r.ravel())):
+        bt = 2.0 * np.pi * w0 * ti
+        if abs(ri) <= 1e-12:
+            out[i] = pref * 0.5 * (sinc(bt) - 2.0 * K._sph_ratio(bt))
+            continue
+        br = 2.0 * np.pi * w0 * p * ri
+        val = quad(lambda u: u * u * j1c(br * u) * math.cos(bt * u),
+                   0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=400)[0]
+        out[i] = pref * val
+    return out.reshape(t.shape)
+
+
+@pytest.mark.parametrize("omega0", [1.0, 50.0])
+def test_k_cone_n2_matches_array_integrand_bitwise(omega0):
+    spec = K.ConeSpec(omega0, 0.7, 2)
+    rng = np.random.default_rng(5)
+    scale = 3.0 / omega0
+    # every quad node of the tiny radius lands in the |z| <= 1e-4 series;
+    # the nodes of the cut radius fall on both sides of the cut
+    tiny, cut = np.array([0.5e-4, 1.5e-4]) / (2 * np.pi * omega0 * spec.pmax)
+    t = np.concatenate([[0.0, 0.3 * scale, 0.0, -0.2 * scale, 0.1 * scale],
+                        rng.uniform(-scale, scale, 8)])
+    r = np.concatenate([[0.0, 0.0, tiny, tiny, cut],
+                        rng.uniform(0.0, scale, 8)])
+    got = K.k_cone(spec, t, r)
+    assert np.array_equal(got, _k_cone_2_array_integrand(spec, t, r))
+
+
+def test_j1c_across_series_cut_against_mpmath():
+    import mpmath
+
+    cut = np.linspace(0.5e-4, 2e-4, 61)
+    near = np.array([np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0)])
+    # J1(z)/z sits just below 1/2 here, where the spacing halves; the
+    # ulps are counted at 1/2
+    ulp = np.spacing(0.5)
+    with mpmath.workdps(30):
+        for z in np.concatenate([cut, -cut, near, -near]):
+            ref = float(mpmath.besselj(1, mpmath.mpf(float(z))) / float(z))
+            assert abs(K._j1c(float(z)) - ref) <= 2 * ulp, z
 
 
 def test_k_cone_rejects_bad_dimension():
