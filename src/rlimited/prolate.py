@@ -17,6 +17,11 @@ from .kernels import (QuadratureND, region_kernel_exact, region_to_json,
                       region_from_json)
 
 _TIE_TOL = 1e-10
+_MIRROR_TOL = 1e-14  # relative; a symmetric rule's nodes and weights
+
+
+def _identity(v):
+    return v
 
 
 @dataclass
@@ -46,10 +51,10 @@ def _order_and_fix(mu: np.ndarray, lam: np.ndarray, vecs: np.ndarray):
     dom = np.argmax(np.abs(vecs), axis=0)
     order = np.lexsort((dom, -mu))
     mu, lam, vecs, dom = mu[order], lam[order], vecs[:, order], dom[order]
-    for j in range(vecs.shape[1]):
-        piv = vecs[dom[j], j]
-        if abs(piv) > 0:
-            vecs[:, j] = vecs[:, j] * (np.conj(piv) / abs(piv))
+    piv = vecs[dom, np.arange(vecs.shape[1])]
+    # hypot, as scalar abs(); np.abs of a complex array can differ by 1 ulp
+    mag = np.hypot(piv.real, piv.imag)
+    vecs = vecs * np.where(mag > 0, np.conj(piv) / mag, 1)
     if not np.iscomplexobj(lam):
         lam = lam.astype(complex)
     return mu, lam, vecs
@@ -74,27 +79,36 @@ def _positive_weights(weights) -> np.ndarray:
     return w
 
 
-def _solve(M_hat, d, scale: float, quadrature, band, hermitian: bool,
+def _solve(blocks, scale: float, quadrature, band, hermitian: bool,
            extra_provenance: dict) -> EigenBasis:
-    """Eigenpairs of the weight-symmetrized matrix M_hat = D M D^{-1} with
-    D = diag(d), mapped back to node values phi = psi / d.
+    """Eigenpairs of weight-symmetrized blocks, mapped back to node values.
 
+    Each block (M_hat, d, unit, lift) holds M_hat = D M D^{-1}, D = diag(d),
+    on one invariant subspace; lift takes its values psi / d to all nodes.
     hermitian: eigh gives mu directly and lambda = sqrt(mu / scale) in
-    magnitude (kernel system); otherwise eig gives lambda and
+    magnitude (kernel system); otherwise lambda = unit * eigenvalue, by eigh
+    for a real symmetric block or eig for a complex symmetric one, and
     mu = scale |lambda|^2 (exponential system).
     """
-    if hermitian:
-        mu, psi = np.linalg.eigh(M_hat)
-        mu, psi = mu[::-1].copy(), psi[:, ::-1].copy()
-        vecs = psi / d[:, None]
-        lam = np.sqrt(np.maximum(mu, 0.0) / scale)
-    else:
-        lam, psi = np.linalg.eig(M_hat)
-        vecs = psi / d[:, None]
-        mu = scale * np.abs(lam) ** 2
-    mu, lam, vecs = _order_and_fix(mu, lam, vecs)
-    prov = {"degenerate_blocks": _degenerate_blocks(mu), "n_nodes": len(d),
-            **extra_provenance}
+    mus, lams, vecs = [], [], []
+    for M_hat, d, unit, lift in blocks:
+        if hermitian or not np.iscomplexobj(M_hat):
+            ev, psi = np.linalg.eigh(M_hat)
+            ev, psi = ev[::-1].copy(), psi[:, ::-1].copy()
+        else:
+            ev, psi = np.linalg.eig(M_hat)
+        if hermitian:
+            mu, lam = ev, np.sqrt(np.maximum(ev, 0.0) / scale)
+        else:
+            lam = unit * ev + 0.0  # + 0.0 drops the -0.0 real parts of 1j * ev
+            mu = scale * np.abs(lam) ** 2
+        mus.append(mu)
+        lams.append(lam)
+        vecs.append(lift(psi / d[:, None]))
+    mu, lam, vecs = _order_and_fix(np.concatenate(mus), np.concatenate(lams),
+                                   np.hstack(vecs))
+    prov = {"degenerate_blocks": _degenerate_blocks(mu),
+            "n_nodes": len(vecs), **extra_provenance}
     if hermitian:
         prov["lambda_magnitude_only"] = True
     return EigenBasis(eigenvalues_mu=mu, eigenvalues_lambda=lam,
@@ -103,42 +117,67 @@ def _solve(M_hat, d, scale: float, quadrature, band, hermitian: bool,
                       provenance=prov)
 
 
-def pswf_exp_eigensystem(q: Quadrature1D, B: float) -> EigenBasis:
-    """Eigen-decompose E[k,m] = (1/B) a_m e^{i 2 pi B w_m w_k}.
-
-    The similarity transform with diag(sqrt(a)) makes the matrix complex
-    symmetric and (for a mirror-symmetric rule) normal, so eigenvalue
-    magnitudes equal singular values and mu = B |lambda|^2 is reliable.
+def _parity_solve(q: Quadrature1D, B: float, kernels,
+                  hermitian: bool) -> EigenBasis:
+    """Both 1D systems commute with the reflection w -> -w of a mirror rule,
+    so they split into an even and an odd block over the half-rule p > 0
+    with d = sqrt(a).  kernels(p) gives the two blocks' node kernels; the
+    odd block's eigenvalues are i lambda.  A node at zero joins the even
+    block with half its weight, which makes its border row carry the
+    sqrt(2) of the normalized even vector (e_w + e_-w) / sqrt(2).
     """
     if not q.symmetric:
-        raise ValueError("exponential eigensystem needs a symmetric rule")
+        raise ValueError("1D eigensystems need a symmetric rule")
     if B <= 0:
         raise ValueError("band must be positive")
     w = _positive_weights(q.weights)
     om = np.asarray(q.nodes, dtype=float)
-    d = np.sqrt(w)
-    A_hat = (1.0 / B) * d[:, None] * d[None, :] * np.exp(
-        2j * np.pi * B * om[:, None] * om[None, :])
-    return _solve(A_hat, d, B, q, float(B), False, {})
+    if (np.any(np.diff(om) <= 0)
+            or np.any(np.abs(om + om[::-1]) > _MIRROR_TOL * np.abs(om).max())
+            or np.any(np.abs(w - w[::-1]) > _MIRROR_TOL * w)):
+        raise ValueError("symmetric rule needs ascending mirror-pair nodes "
+                         "with mirror-equal weights")
+    z, h = len(om) % 2, len(om) // 2
+    p = np.concatenate([[0.0] * z, om[h + z:]])
+    d = np.sqrt(np.concatenate([0.5 * w[h:h + z], w[h + z:]]))
+    dd = d[:, None] * d[None, :]
+    even, odd = kernels(p)
+    blocks = [(dd * even, d, 1.0,
+               lambda v: np.concatenate([v[z:][::-1], v])),
+              ((dd * odd)[z:, z:], d[z:], 1j,
+               lambda v: np.concatenate([-v[::-1], np.zeros((z, v.shape[1])),
+                                         v]))]
+    return _solve(blocks, B, q, float(B), hermitian, {})
+
+
+def pswf_exp_eigensystem(q: Quadrature1D, B: float) -> EigenBasis:
+    """Eigen-decompose E[k,m] = (1/B) a_m e^{i 2 pi B w_m w_k}.
+
+    On a mirror-symmetric rule the weight-symmetrized matrix splits into
+    the real symmetric blocks (2/B) d d cos(2 pi B p p') (eigenvalue
+    lambda) and (2/B) d d sin(2 pi B p p') (eigenvalue i lambda), so the
+    eigenvectors are real, even or odd, and orthonormal in the weighted
+    inner product, and mu = B |lambda|^2 holds exactly.
+    """
+    def kernels(p):
+        arg = 2.0 * np.pi * B * np.outer(p, p)
+        return (2.0 / B) * np.cos(arg), (2.0 / B) * np.sin(arg)
+    return _parity_solve(q, B, kernels, False)
 
 
 def pswf_kernel_eigensystem(q: Quadrature1D, B: float) -> EigenBasis:
     """Eigen-decompose S[m,k] = 2 a_k sinc(2 pi B (w_m - w_k)).
 
-    Symmetrized to the real symmetric PSD form before eigh; eigenvalues
-    are the concentration ratios mu directly, lambda is stored as the
-    magnitude sqrt(mu / B).
+    On a mirror-symmetric rule the weight-symmetrized PSD matrix splits
+    into 2 d d [sinc(2 pi B (p - p')) +- sinc(2 pi B (p + p'))] on the even
+    and odd vectors; eigenvalues are the concentration ratios mu directly,
+    lambda is stored as the magnitude sqrt(mu / B).
     """
-    if not q.symmetric:
-        raise ValueError("kernel eigensystem needs a symmetric rule")
-    if B <= 0:
-        raise ValueError("band must be positive")
-    w = _positive_weights(q.weights)
-    om = np.asarray(q.nodes, dtype=float)
-    d = np.sqrt(w)
-    S_hat = 2.0 * d[:, None] * d[None, :] * sinc(
-        2.0 * np.pi * B * (om[:, None] - om[None, :]))
-    return _solve(S_hat, d, B, q, float(B), True, {})
+    def kernels(p):
+        minus = sinc(2.0 * np.pi * B * (p[:, None] - p[None, :]))
+        plus = sinc(2.0 * np.pi * B * (p[:, None] + p[None, :]))
+        return 2.0 * (minus + plus), 2.0 * (minus - plus)
+    return _parity_solve(q, B, kernels, True)
 
 
 @dataclass
@@ -212,7 +251,8 @@ def rslepian_exp_eigensystem(kernel: QuadratureND) -> EigenBasis:
     phase = 2j * np.pi * (nodes @ Bm.T @ nodes.T).T
     A_hat = d[:, None] * d[None, :] * np.exp(phase)
     det = kernel.det_band()
-    return _solve(A_hat, d, det, kernel, Bm, False, {"det_band": det})
+    return _solve([(A_hat, d, 1, _identity)], det, kernel, Bm, False,
+                  {"det_band": det})
 
 
 def rslepian_kernel_eigensystem(kernel: QuadratureND) -> EigenBasis:
@@ -236,7 +276,7 @@ def rslepian_kernel_eigensystem(kernel: QuadratureND) -> EigenBasis:
     S_hat = 0.5 * (S_hat + S_hat.conj().T)
     if np.max(np.abs(S_hat.imag)) <= 1e-12 * max(1.0, np.max(np.abs(S_hat))):
         S_hat = S_hat.real
-    return _solve(S_hat, d, det, kernel, Bm, True,
+    return _solve([(S_hat, d, 1, _identity)], det, kernel, Bm, True,
                   {"det_band": det, "hermitian_defect": herm_defect})
 
 

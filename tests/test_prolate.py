@@ -6,7 +6,8 @@ import pytest
 
 from rlimited import kernels as K
 from rlimited import prolate as P
-from rlimited.moments import Quadrature1D, gauss_legendre_01, uniform_rule
+from rlimited.moments import (Quadrature1D, gauss_legendre_01, symmetrize,
+                              uniform_rule)
 from rlimited.projection import expsum_kernel
 from rlimited.sincapprox import build_sinc_cosine_approx, frequency_rule
 
@@ -96,6 +97,89 @@ def test_eigensystem_input_guards(freq_rule):
         P.pswf_kernel_eigensystem(bad, 1.0)
 
 
+def _flagged(nodes, weights):
+    return Quadrature1D(weights=np.asarray(weights, dtype=float),
+                        nodes=np.asarray(nodes, dtype=float), band=1.0,
+                        symmetric=True, provenance={})
+
+
+@pytest.mark.parametrize("eigensystem", [P.pswf_exp_eigensystem,
+                                     P.pswf_kernel_eigensystem])
+def test_symmetric_flag_needs_a_mirror_rule(eigensystem):
+    w3 = [0.5, 1.0, 0.5]
+    bad = [_flagged([-0.5, 0.0, 0.3], w3),          # not mirror pairs
+           _flagged([0.5, 0.0, -0.5], w3),          # mirror, descending
+           _flagged([-0.5, -0.5, 0.5, 0.5], [0.5] * 4),  # repeated node
+           _flagged([-0.5, 0.0, 0.5], [0.5, 1.0, 0.5 * (1 + 1e-13)]),
+           _flagged([-0.5, 0.5], [0.5, 0.6])]
+    for q in bad:
+        with pytest.raises(ValueError):
+            eigensystem(q, 1.0)
+    # a mirror rule whose weights differ by 1 ulp is accepted
+    ok = _flagged([-0.5, 0.0, 0.5], [0.5, 1.0, np.nextafter(0.5, 1.0)])
+    assert len(eigensystem(ok, 1.0)) == 3
+
+
+def _eig_route(q, B):
+    """The unsplit route: dense eig of the complex-symmetric exponential
+    matrix and dense eigh of the full sinc Gram, mu in descending order."""
+    w = np.asarray(q.weights, dtype=float)
+    om = np.asarray(q.nodes, dtype=float)
+    d = np.sqrt(w)
+    A_hat = (1.0 / B) * d[:, None] * d[None, :] * np.exp(
+        2j * np.pi * B * om[:, None] * om[None, :])
+    S_hat = 2.0 * d[:, None] * d[None, :] * np.sinc(
+        2.0 * B * (om[:, None] - om[None, :]))
+    mu_exp = np.sort(B * np.abs(np.linalg.eigvals(A_hat)) ** 2)[::-1]
+    mu_ker = np.linalg.eigvalsh(S_hat)[::-1]
+    return {"exp_system": mu_exp, "kernel_system": mu_ker}
+
+
+def _operator(basis):
+    """The discretized operator on node values: E[k,m] = (1/B) a_m
+    e^{i 2 pi B w_m w_k} or S[k,m] = 2 a_m sinc(2 pi B (w_k - w_m))."""
+    B = float(basis.band)
+    a = np.asarray(basis.quadrature.weights, dtype=float)
+    om = np.asarray(basis.quadrature.nodes, dtype=float)
+    if basis.kind == "exp_system":
+        return (1.0 / B) * a[None, :] * np.exp(
+            2j * np.pi * B * om[:, None] * om[None, :]), \
+            basis.eigenvalues_lambda
+    return 2.0 * a[None, :] * np.sinc(2.0 * B * (om[:, None] - om[None, :])), \
+        basis.eigenvalues_mu
+
+
+@pytest.mark.parametrize("rule", ["gauss-400", "uniform-201", "frequency"])
+def test_parity_split_against_the_eig_route(rule, freq_rule):
+    q, Bq = {"gauss-400": (symmetrize(gauss_legendre_01(200), 5.0), 5.0),
+             "uniform-201": (uniform_rule(5.0, 100), 5.0),
+             "frequency": (freq_rule, B)}[rule]
+    oracle = _eig_route(q, Bq)
+    a = np.asarray(q.weights, dtype=float)
+    for eigensystem in (P.pswf_exp_eigensystem, P.pswf_kernel_eigensystem):
+        basis = eigensystem(q, Bq)
+        again = eigensystem(q, Bq)
+        assert np.array_equal(basis.eigenvalues_mu, again.eigenvalues_mu)
+        assert np.array_equal(basis.eigenvalues_lambda,
+                              again.eigenvalues_lambda)
+        assert np.array_equal(basis.eigenvectors, again.eigenvectors)
+        mu = basis.eigenvalues_mu
+        assert np.max(np.abs(mu - oracle[basis.kind])) <= 1e-13
+        phi = basis.eigenvectors
+        assert not np.iscomplexobj(phi)
+        flip = phi[::-1]
+        assert all(np.array_equal(flip[:, j], phi[:, j])
+                   or np.array_equal(flip[:, j], -phi[:, j])
+                   for j in range(phi.shape[1]))
+        g = phi.T @ (a[:, None] * phi)
+        g = np.abs(g) / np.sqrt(np.outer(np.diag(g), np.diag(g)))
+        np.fill_diagonal(g, 0.0)
+        assert g.max() <= 1e-12, (basis.kind, g.max())
+        op, ev = _operator(basis)
+        res = np.max(np.abs(op @ phi - phi * ev[None, :]))
+        assert res <= 1e-13, (basis.kind, res)
+
+
 def test_uniform_rule_kernel_spectrum_is_flat():
     M = 10
     Bu = (2 * M + 1) / 4.0
@@ -140,6 +224,37 @@ def test_rslepian_triangle_trace_identity():
     assert basis.provenance["hermitian_defect"] < 1e-12
 
 
+def _order_and_fix_by_column(mu, lam, vecs):
+    """Reference for prolate._order_and_fix: the same ordering with the
+    pivot rotation applied one column at a time."""
+    vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
+    dom = np.argmax(np.abs(vecs), axis=0)
+    order = np.lexsort((dom, -mu))
+    mu, lam, vecs, dom = mu[order], lam[order], vecs[:, order], dom[order]
+    for j in range(vecs.shape[1]):
+        piv = vecs[dom[j], j]
+        if abs(piv) > 0:
+            vecs[:, j] = vecs[:, j] * (np.conj(piv) / abs(piv))
+    return mu, lam.astype(complex), vecs
+
+
+def test_order_and_fix_matches_column_loop_bitwise():
+    tq = K.triangle_quadrature(K.TriangleSpec(0.8, 0.7), 4, 4,
+                               profile_grid=0)
+    nodes, d = tq.nodes, np.sqrt(tq.weights)
+    A_hat = d[:, None] * d[None, :] * np.exp(2j * np.pi * nodes @ nodes.T)
+    lam, psi = np.linalg.eig(A_hat)
+    S_hat = np.real(A_hat @ A_hat.conj().T)
+    mu_s, psi_s = np.linalg.eigh(0.5 * (S_hat + S_hat.T))
+    for mu, lam, vecs in ((np.abs(lam) ** 2, lam, psi / d[:, None]),
+                          (mu_s, np.sqrt(mu_s.clip(0)), psi_s / d[:, None])):
+        want = _order_and_fix_by_column(mu, lam, vecs.copy())
+        got = P._order_and_fix(mu, lam, vecs.copy())
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+
+
 def test_rslepian_rejects_asymmetric_band(freq_rule):
     tq = K.triangle_quadrature(K.TriangleSpec(0.8, 0.7), 3, 3,
                                profile_grid=0)
@@ -159,6 +274,13 @@ def test_eigenbasis_json_round_trip(exp_basis):
     orig = P.extend_prolate(P.ProlateEvaluator(exp_basis), 0, t)
     rebuilt = P.extend_prolate(P.ProlateEvaluator(back), 0, t)
     assert np.array_equal(orig, rebuilt)
+    # 1D eigenvectors are real and written without an "im" part; documents
+    # that carry one still read back
+    assert "im" not in doc["eigenvectors"]
+    doc["eigenvectors"]["im"] = np.zeros_like(exp_basis.eigenvectors).tolist()
+    legacy = P.eigenbasis_from_json(doc)
+    assert np.iscomplexobj(legacy.eigenvectors)
+    assert np.array_equal(legacy.eigenvectors, exp_basis.eigenvectors)
 
 
 def test_nd_eigenbasis_json_round_trip():
