@@ -17,7 +17,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .numkit import sinc, PointSet, SampledField, write_field_csv, \
-    read_field_csv
+    read_field_csv, dumps_json, format_rows
 from .moments import (preset_moments, solve_moment_problem,
                       gauss_legendre_01, chebyshev_rule_for_j0, uniform_rule,
                       symmetrize, verify_moments, quadrature_to_json,
@@ -33,28 +33,24 @@ from .kernels import (TriangleSpec, ConeSpec, triangle_quadrature,
 from .prolate import (pswf_exp_eigensystem, pswf_kernel_eigensystem,
                       eigenbasis_to_json)
 from .projection import (expsum_kernel, rlimited_discrete_fourier,
-                         needed_base_box, measure_kernel_profile, _plain)
+                         needed_base_box, measure_kernel_profile)
 
 
 def _write_json(path: str, doc: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(_plain(doc), fh, indent=2)
+        fh.write(dumps_json(doc))
         fh.write("\n")
 
 
 def _write_rule_csv(path: str, weights, nodes) -> None:
-    w = np.asarray(weights)
+    w = np.asarray(weights, dtype=complex)
     nod = np.atleast_2d(np.asarray(nodes, dtype=float))
     if nod.shape[0] != len(w):
         nod = nod.T
     with open(path, "w") as fh:
-        dim = nod.shape[1]
-        fh.write(",".join("x%d" % (i + 1) for i in range(dim))
+        fh.write(",".join("x%d" % (i + 1) for i in range(nod.shape[1]))
                  + ",w_re,w_im\n")
-        for row, wv in zip(nod, w):
-            wc = complex(wv)
-            fh.write(",".join("%.17g" % c for c in row)
-                     + ",%.17g,%.17g\n" % (wc.real, wc.imag))
+        fh.write(format_rows([nod, w.real, w.imag]))
 
 
 def _grid_points(extent: float, n: int, dim: int):
@@ -147,14 +143,15 @@ def cmd_approx_sinc(args) -> int:
         err = np.abs(error_epsilon_B(a, xs))
         doc = {"kind": "cosine-sum", "B0": a.B0, "M": args.M,
                "level": a.level, "reduced_band": a.B0 / 3 ** a.level,
-               "frequencies": [float(v) for v in a.expanded.nodes],
-               "weights": [float(w) for w in a.expanded.weights],
+               "frequencies": np.asarray(a.expanded.nodes,
+                                         dtype=float).tolist(),
+               "weights": np.asarray(a.expanded.weights,
+                                     dtype=float).tolist(),
                "max_error_on_[-2,2]": float(err.max())}
         _write_json(os.path.join(args.out, "sinc_approx.json"), doc)
     with open(os.path.join(args.out, "sinc_approx_error.csv"), "w") as fh:
         fh.write("x,abs_error\n")
-        for x, e in zip(xs, err):
-            fh.write("%.17g,%.17g\n" % (x, e))
+        fh.write(format_rows([xs, err]))
     print("max |sinc - approx| on [-2,2]: %.6e" % err.max())
     return 0
 
@@ -170,10 +167,10 @@ def cmd_pswf(args) -> int:
     _write_json(os.path.join(args.out, "eigenbasis.json"),
                 eigenbasis_to_json(basis))
     with open(os.path.join(args.out, "eigenvalues.csv"), "w") as fh:
+        lam = np.asarray(basis.eigenvalues_lambda)
         fh.write("n,mu,lambda_re,lambda_im\n")
-        for n, (mu, lam) in enumerate(zip(basis.eigenvalues_mu,
-                                          basis.eigenvalues_lambda)):
-            fh.write("%d,%.17g,%.17g,%.17g\n" % (n, mu, lam.real, lam.imag))
+        fh.write(format_rows([np.arange(len(lam)), basis.eigenvalues_mu,
+                              lam.real, lam.imag]))
     n_half = int(np.sum(basis.eigenvalues_mu > 0.5))
     print("modes: %d  concentrated (mu > 1/2): %d  top mu: %.12g"
           % (len(basis.eigenvalues_mu), n_half,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from scipy.integrate import quad, simpson
 from scipy.special import j1 as bessel_j1
 
-from .numkit import sinc, cosinc, expc, power_exp_integral
+from .numkit import _scalar, sinc, cosinc, expc, power_exp_integral
 from .sincapprox import symmetric_sinc_rule, one_sided_unit_rule
 from .moments import Quadrature1D, chebyshev_rule_for_j0
 
@@ -231,14 +231,13 @@ class QuadratureND:
 def quadrature_nd_to_json(q: QuadratureND) -> dict:
     """The band is written only when it is not the identity, so cascade
     artifacts keep their layout."""
-    d = {"weights": [float(w) for w in q.weights],
-         "nodes": [[float(c) for c in row] for row in q.nodes],
+    d = {"weights": q.weights.tolist(), "nodes": q.nodes.tolist(),
          "region": region_to_json(q.region)}
     if not np.array_equal(q.band, np.eye(len(q.band))):
-        d["band"] = [[float(c) for c in row] for row in q.band]
+        d["band"] = q.band.tolist()
     d["provenance"] = q.provenance
     if q.symmetry_group is not None:
-        d["symmetry_group"] = [[[float(c) for c in row] for row in m]
+        d["symmetry_group"] = [np.asarray(m, dtype=float).tolist()
                                for m in q.symmetry_group]
     return d
 
@@ -416,7 +415,7 @@ def k_triangle(spec: TriangleSpec, x, y):
                      b2 ** 2 * _ik_vec(5, asm) / 120.0 -
                      b2 ** 3 * _ik_vec(7, asm) / 5040.0)
     out = 2.0 * spec.dp ** 2 * spec.s * dq
-    return complex(out) if out.ndim == 0 else out
+    return _scalar(out, complex)
 
 
 def triangle_scaling_refine(spec: TriangleSpec, x, y, value_pair):
@@ -701,7 +700,7 @@ def k_tetra(spec: TetraSpec, x, y, z):
                 Dfix[i] = (pp - pm) / (2.0 * bi)
         D.ravel()[idx] = Dfix
     out = -2.0 * spec.h ** 3 * spec.dp ** 2 * spec.s * D
-    return complex(out) if out.ndim == 0 else out
+    return _scalar(out, complex)
 
 
 def tetra_quadrature(spec: TetraSpec, M1: int, M2: int, M3: int,
@@ -894,7 +893,7 @@ def _k_cone_1(spec: ConeSpec, t, x):
         cd = _cosinc_derivs_at(asm, (1, 3, 5))
         dq[small] = cd[1] + b2 * cd[3] / 6.0 + b2 ** 2 * cd[5] / 120.0
     out = (4.0 * w0 ** 2 * p * dq).astype(complex)
-    return complex(out) if out.ndim == 0 else out
+    return _scalar(out, complex)
 
 
 def _j1c(z: float) -> float:
@@ -935,7 +934,7 @@ def _k_cone_2(spec: ConeSpec, t, x):
                    0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=400)[0]
         out[i] = pref * val
     out = out.reshape(t.shape)
-    return complex(out) if out.ndim == 0 else out
+    return _scalar(out, complex)
 
 
 def _k_cone_3(spec: ConeSpec, t, x):
@@ -961,7 +960,7 @@ def _k_cone_3(spec: ConeSpec, t, x):
             acc += cd[j] * bsm ** (j - 3) * (1.0 - j) / math.factorial(j)
         out[small] = (w0 / np.pi ** 2) * kap ** 3 * acc
     out = out.astype(complex)
-    return complex(out) if out.ndim == 0 else out
+    return _scalar(out, complex)
 
 
 def _cd1(u):
@@ -972,7 +971,7 @@ def _cd1(u):
     direct = np.sin(us) / us - (1.0 - np.cos(us)) / us ** 2
     series = 0.5 - u * u / 8.0 + u ** 4 / 144.0
     out = np.where(small, series, direct)
-    return float(out) if out.ndim == 0 else out
+    return _scalar(out)
 
 
 def j1_expansion_from_rule(j1_rule: Quadrature1D):
@@ -1043,7 +1042,7 @@ def tilde_k_cone(spec: ConeSpec, j1_rule: Quadrature1D, t, r):
             acc += (am / gm) * inner
         out[~big] = -(w0 / np.pi) * acc
     out = out.astype(complex)
-    return complex(out) if out.ndim == 0 else out
+    return _scalar(out, complex)
 
 
 def _x_overlap(gamma: float) -> float:
@@ -1173,7 +1172,7 @@ def k_ball(k_max: float, x):
     vol = 4.0 * np.pi * k_max ** 3 / 3.0
     series = vol * (1.0 - u * u / 10.0 + u ** 4 / 280.0)
     out = np.where(small, series, direct).astype(complex)
-    return complex(out) if out.ndim == 0 else out
+    return _scalar(out, complex)
 
 
 def ball_quadrature(k_max: float, M_r: int, M_th: int, M_t: int,

@@ -251,10 +251,11 @@ def verify_moments(q: Quadrature1D, h: MomentSequence) -> dict:
 
 
 def _num_to_json(a: np.ndarray):
+    """Real arrays as a list of floats, complex ones as [re, im] rows."""
     a = np.asarray(a)
     if np.iscomplexobj(a):
-        return [[float(v.real), float(v.imag)] for v in a]
-    return [float(v) for v in a]
+        return np.stack([a.real, a.imag], axis=-1).tolist()
+    return a.astype(float).tolist()
 
 
 def _num_from_json(lst) -> np.ndarray:

@@ -1,15 +1,25 @@
-"""Shared numerics: stable special functions, point sets, sampled fields.
+"""Shared numerics: stable special functions, point sets, sampled fields,
+and the artifact codec (JSON and CSV text).
 
 Everything here is pure and safe to call from any thread.
 """
 from __future__ import annotations
 
-import numpy as np
+import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _json_str
+
+import numpy as np
 
 # Below this the direct formulas lose digits to cancellation; degree-10
 # Taylor polynomials are exact to < 1e-14 there.
 _SERIES_CUT = 1e-3
+
+
+def _scalar(out, kind=float):
+    """A 0-d result as a Python `kind` (float or complex); arrays pass."""
+    return kind(out) if out.ndim == 0 else out
 
 
 def sinc(x):
@@ -24,7 +34,7 @@ def sinc(x):
     series = 1.0 + x2 * (-1.0 / 6.0 + x2 * (1.0 / 120.0 + x2 * (
         -1.0 / 5040.0 + x2 * (1.0 / 362880.0 - x2 / 39916800.0))))
     out = np.where(small, series, np.sin(xs) / xs)
-    return float(out) if out.ndim == 0 else out
+    return _scalar(out)
 
 
 def cosinc(x):
@@ -36,7 +46,7 @@ def cosinc(x):
     series = x * (0.5 + x2 * (-1.0 / 24.0 + x2 * (1.0 / 720.0 + x2 * (
         -1.0 / 40320.0 + x2 / 3628800.0))))
     out = np.where(small, series, (1.0 - np.cos(xs)) / xs)
-    return float(out) if out.ndim == 0 else out
+    return _scalar(out)
 
 
 def expc(z):
@@ -53,7 +63,7 @@ def expc(z):
             1.0 / 40320.0 + z * (1.0 / 362880.0 + z * (
                 1.0 / 3628800.0 + z / 39916800.0)))))))))
     out = np.where(small, series, (np.exp(zs) - 1.0) / zs)
-    return complex(out) if out.ndim == 0 else out
+    return _scalar(out, complex)
 
 
 def power_exp_integral(k: int, z) -> complex:
@@ -168,26 +178,158 @@ def write_field_csv(fld: SampledField, path) -> None:
     """CSV layout: header 'dim,n_points', its values, then x1..xd,re,im rows."""
     pts = fld.points.points
     with open(path, "w") as fh:
-        fh.write("dim,n_points\n")
-        fh.write("%d,%d\n" % (pts.shape[1], pts.shape[0]))
-        for row, v in zip(pts, fld.values):
-            coords = ",".join("%.17g" % c for c in row)
-            fh.write("%s,%.17g,%.17g\n" % (coords, v.real, v.imag))
+        fh.write("dim,n_points\n%d,%d\n" % (pts.shape[1], pts.shape[0]))
+        fh.write(format_rows([pts, fld.values.real, fld.values.imag]))
 
 
 def read_field_csv(path, label: str = "") -> SampledField:
+    """Read write_field_csv's layout.  The body must hold exactly n_points
+    rows of dim + 2 values; trailing blank lines are ignored."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header.replace(" ", "") != "dim,n_points":
             raise ValueError("bad field CSV header: %r" % header)
-        dim, n = (int(t) for t in fh.readline().split(","))
-        pts = np.empty((n, dim))
-        vals = np.empty(n, dtype=complex)
-        for i in range(n):
-            parts = fh.readline().split(",")
-            if len(parts) != dim + 2:
-                raise ValueError("row %d has %d columns, expected %d"
-                                 % (i + 3, len(parts), dim + 2))
-            pts[i] = [float(t) for t in parts[:dim]]
-            vals[i] = complex(float(parts[dim]), float(parts[dim + 1]))
-    return SampledField(PointSet(pts), vals, label=label)
+        size = fh.readline()
+        rows = fh.read().rstrip().splitlines()
+    try:
+        dim, n = (int(t) for t in size.split(","))
+    except ValueError:
+        raise ValueError("bad field CSV size line: %r" % size.strip()) \
+            from None
+    if dim < 1 or n < 0:
+        raise ValueError("field CSV needs dim >= 1 and n_points >= 0, "
+                         "got %d,%d" % (dim, n))
+    if len(rows) != n:
+        raise ValueError("field CSV header says %d points, body has %d rows"
+                         % (n, len(rows)))
+    commas = list(map(str.count, rows, repeat(",")))
+    if commas.count(dim + 1) != n:
+        i = next(i for i, c in enumerate(commas) if c != dim + 1)
+        raise ValueError("row %d has %d columns, expected %d"
+                         % (i + 3, commas[i] + 1, dim + 2))
+    a = np.array(",".join(rows).split(",") if n else [], dtype=float)
+    a = a.reshape(n, dim + 2)
+    vals = np.empty(n, dtype=complex)
+    vals.real, vals.imag = a[:, dim], a[:, dim + 1]   # keeps -0.0 parts
+    return SampledField(PointSet(np.ascontiguousarray(a[:, :dim])), vals,
+                        label=label)
+
+
+# ---------------------------------------------------------------- artifacts
+# Artifacts are indent-2 JSON with shortest-repr floats (the text json.dump
+# writes) and %.17g CSV.  Both are formatted through %-templates, one call
+# per block of numbers, which gives the same bytes as per-element
+# formatting at a fraction of its interpreter cost.
+
+
+def format_rows(cols) -> str:
+    """CSV body lines for the columns (1-D arrays, or 2-D blocks of columns),
+    every value written with %.17g."""
+    data = np.column_stack(cols)
+    row_fmt = ",".join(["%.17g"] * data.shape[1])
+    return ((row_fmt + "\n") * len(data)) % tuple(data.ravel().tolist())
+
+
+def dumps_json(doc) -> str:
+    """The text json.dump(doc, fh, indent=2) writes, once numpy arrays and
+    scalars are read as Python values and complex numbers as [re, im].
+
+    A list of finite floats, or of equal-length rows of them, goes through
+    one %r template (float.__repr__, which json uses as well); other values
+    are spelled element by element the way json spells them.  Unsupported
+    types raise json's TypeError.
+    """
+    out = []
+    _put_json(doc, 0, out)
+    return "".join(out)
+
+
+def _json_atom(v):
+    """json's spelling of None, a bool, an int or a float; None otherwise."""
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if v != v:
+            return "NaN"
+        if v == math.inf:
+            return "Infinity"
+        if v == -math.inf:
+            return "-Infinity"
+        return float.__repr__(v)
+    return None
+
+
+def _finite_floats(seq) -> bool:
+    # a sum of floats is finite only if every term is
+    return set(map(type, seq)) == {float} and math.isfinite(sum(seq))
+
+
+def _put_json(obj, level, out) -> None:
+    atom = _json_atom(obj)
+    if atom is not None:
+        out.append(atom)
+    elif isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif isinstance(obj, (list, tuple)):
+        _put_json_list(obj, level, out)
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        nl = "\n" + "  " * (level + 1)
+        sep = "{" + nl
+        for k, v in obj.items():
+            key = k if isinstance(k, str) else _json_atom(k)
+            if key is None:
+                raise TypeError("keys must be str, int, float, bool or None, "
+                                "not %s" % type(k).__name__)
+            out.append(sep + _json_str(key) + ": ")
+            sep = "," + nl
+            _put_json(v, level + 1, out)
+        out.append("\n" + "  " * level + "}")
+    elif isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            obj = np.stack([obj.real, obj.imag], axis=-1)
+        _put_json(obj.tolist(), level, out)
+    elif isinstance(obj, (np.floating, np.integer)):
+        _put_json(obj.item(), level, out)
+    elif isinstance(obj, complex):
+        _put_json([obj.real, obj.imag], level, out)
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(obj).__name__)
+
+
+def _put_json_list(lst, level, out) -> None:
+    if not lst:
+        out.append("[]")
+        return
+    nl0 = "\n" + "  " * level
+    nl1 = nl0 + "  "
+    n = len(lst)
+    if _finite_floats(lst):
+        out.append(("[" + nl1 + ("%r," + nl1) * (n - 1) + "%r" + nl0 + "]")
+                   % tuple(lst))
+        return
+    m = len(lst[0]) if isinstance(lst[0], (list, tuple)) else 0
+    if m and set(map(type, lst)) <= {list, tuple} \
+            and set(map(len, lst)) == {m}:
+        flat = list(chain.from_iterable(lst))
+        if _finite_floats(flat):
+            nl2 = nl1 + "  "
+            row = "[" + nl2 + ("%r," + nl2) * (m - 1) + "%r" + nl1 + "]"
+            out.append(("[" + nl1 + (row + "," + nl1) * (n - 1) + row + nl0
+                        + "]") % tuple(flat))
+            return
+    sep = "[" + nl1
+    for v in lst:
+        out.append(sep)
+        sep = "," + nl1
+        _put_json(v, level + 1, out)
+    out.append(nl0 + "]")

@@ -15,7 +15,7 @@ import numpy as np
 from dataclasses import dataclass, field, replace
 from scipy.integrate import quad
 
-from .numkit import sinc, PointSet, SampledField, grid_axes
+from .numkit import _scalar, sinc, PointSet, SampledField, grid_axes
 from .moments import Quadrature1D, uniform_rule
 from .sincapprox import CosineSumApprox, error_epsilon_B
 from .kernels import (QuadratureND, interval_region, region_dim,
@@ -82,26 +82,6 @@ class ProjectionResult:
         if not self.error_bound >= 0:
             raise ValueError("error bound must be nonnegative")
 
-    def to_json(self) -> dict:
-        return {"error_bound": float(self.error_bound),
-                "n_points": len(self.field.values),
-                "provenance": _plain(self.provenance)}
-
-
-def _plain(obj):
-    """Recursively strip numpy types for json dumping."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    return obj
-
 
 # --------------------------------------------------------------------------
 # 1D band-limited projection
@@ -146,7 +126,7 @@ def discrete_fourier_repr_1d(fhat_at_nodes, q: Quadrature1D, B: float, t):
     a = np.asarray(q.weights, dtype=float) * (float(B) / float(q.band))
     t = np.asarray(t, dtype=float)
     out = np.exp(2j * np.pi * B * t[..., None] * om) @ (a * vals)
-    return complex(out) if out.ndim == 0 else out
+    return _scalar(out, complex)
 
 
 def discrete_repr_error_bound(a: CosineSumApprox, B: float, T: float,
@@ -274,7 +254,7 @@ def sampling_interpolation_1d(f_at_nodes, q: Quadrature1D, B: float, t,
     t = np.asarray(t, dtype=float)
     kern = 2.0 * B * sinc(2.0 * np.pi * B * (t[..., None] - om))
     out = kern @ (al * c)
-    return complex(out) if out.ndim == 0 else out
+    return _scalar(out, complex)
 
 
 def sampling_interpolation_scaled(f_at_nodes, q: Quadrature1D, B: float,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass, field
 
-from .numkit import sinc
+from .numkit import _scalar, sinc
 from .moments import Quadrature1D
 from .kernels import (QuadratureND, region_kernel_exact, region_to_json,
                       region_from_json)
@@ -227,7 +227,7 @@ def extend_prolate(ev: ProlateEvaluator, n: int, t, mu_min: float = 1e-8):
     else:
         kern = 2.0 * B * sinc(2.0 * np.pi * B * (t[..., None] - om))
         out = kern @ (a * phi) / (B * mu)
-    return complex(out) if out.ndim == 0 else out
+    return _scalar(out, complex)
 
 
 # --------------------------------------------------------------------------
@@ -302,7 +302,7 @@ def eigenbasis_to_json(b: EigenBasis) -> dict:
     nodes = np.asarray(b.quadrature.nodes, dtype=float)
     band = b.band
     doc = {"kind": b.kind,
-           "mu": [float(m) for m in b.eigenvalues_mu],
+           "mu": np.asarray(b.eigenvalues_mu, dtype=float).tolist(),
            "lambda": _c_to_json(b.eigenvalues_lambda),
            "eigenvectors": _c_to_json(b.eigenvectors),
            "nodes": nodes.tolist(),

@@ -12,7 +12,7 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .numkit import sinc
+from .numkit import _scalar, sinc
 from .moments import (Quadrature1D, gauss_legendre_01, preset_moments,
                       solve_moment_problem, symmetrize)
 
@@ -84,7 +84,7 @@ def eval_cosine_sum(a: CosineSumApprox, x):
     nu = np.asarray(a.expanded.nodes, dtype=float)
     w = np.asarray(a.expanded.weights, dtype=float)
     out = np.cos(x[..., None] * nu) @ w
-    return float(out) if out.ndim == 0 else out
+    return _scalar(out)
 
 
 def error_epsilon_B(a: CosineSumApprox, x):
@@ -147,7 +147,7 @@ def scaling_multiplier(B: float, n: int, x):
     for l in range(1, L + 1):
         acc = acc + 2.0 * np.cos(2.0 * B * l * x)
     out = acc / 3 ** n
-    return float(out) if out.ndim == 0 else out
+    return _scalar(out)
 
 
 def scale_general(values, B: float, n: int, x):
@@ -213,7 +213,7 @@ def eval_chirplet_sum(c: ChirpletApprox, x):
             term = np.exp(-gam * x[..., None] ** 2 +
                           2j * B * ls * x[..., None])
         out = out + (alpha / 3 ** c.level) * term.sum(axis=-1)
-    return complex(out) if out.ndim == 0 else out
+    return _scalar(out, complex)
 
 
 # Largest base band the M ~ 8 Gauss half rule still resolves to ~1e-13;

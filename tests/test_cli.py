@@ -9,9 +9,9 @@ import pytest
 from rlimited.cli import main
 from rlimited.kernels import k_ball
 from rlimited.moments import quadrature_from_json, quadrature_to_json
-from rlimited.numkit import SampledField, make_grid, read_field_csv, \
-    write_field_csv
-from rlimited.projection import _plain, bandlimited_projection_oracle
+from rlimited.numkit import SampledField, dumps_json, make_grid, \
+    read_field_csv, write_field_csv
+from rlimited.projection import bandlimited_projection_oracle
 from rlimited.sincapprox import build_sinc_cosine_approx, frequency_rule
 
 
@@ -144,7 +144,7 @@ def test_kernel_eval_ball_matches_direct(tmp_path, capsys, grid):
 def project_inputs(tmp_path):
     fr = frequency_rule(build_sinc_cosine_approx(2.0, 10))
     kpath = tmp_path / "rule.json"
-    kpath.write_text(json.dumps(_plain(quadrature_to_json(fr))))
+    kpath.write_text(dumps_json(quadrature_to_json(fr)))
     f = lambda s: np.cos(np.pi * s / 2) ** 2 * np.cos(1.7 * s)
     grid = make_grid([-1.0], [1.0], [801])
     fld = SampledField(grid, f(grid.points[:, 0]).astype(complex))
@@ -206,6 +206,21 @@ def test_project_missing_field_exit_2(tmp_path, capsys, project_inputs):
                "--kernel", str(kpath), "--out", str(tmp_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_project_field_row_count_mismatch_exit_2(tmp_path, capsys,
+                                                project_inputs):
+    # one row more than the header declares
+    fpath, kpath, _ = project_inputs
+    lines = fpath.read_text().splitlines()
+    fpath.write_text("\n".join(lines + [lines[-1]]) + "\n")
+    rc = main(["project", "--field", str(fpath), "--kernel", str(kpath),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: field CSV header says 801 points, body has "
+                          "802 rows") and err.count("\n") == 1
+    assert not (tmp_path / "o" / "projection.csv").exists()
 
 
 def test_verify_single_suite(tmp_path, capsys):

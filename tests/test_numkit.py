@@ -113,3 +113,19 @@ def test_field_csv_rejects_garbage(tmp_path):
     path.write_text("nonsense\n")
     with pytest.raises(ValueError):
         read_field_csv(path)
+
+
+@pytest.mark.parametrize("body, match", [
+    ("1,2\n0,1,0\n1,2,0\n2,3,0\n", "says 2 points, body has 3 rows"),
+    ("1,3\n0,1,0\n1,2,0\n", "says 3 points, body has 2 rows"),
+    ("0,2\n1,0\n2,0\n", "dim >= 1"),
+    ("1,-1\n", "n_points >= 0"),
+    ("2,2\n0,1,0,0\n1,2,0\n", "row 4 has 3 columns, expected 4"),
+    ("1,2,3\n0,1,0\n", "bad field CSV size line"),
+], ids=["extra-row", "missing-row", "dim-0", "negative-n", "short-row",
+        "size-line"])
+def test_field_csv_header_body_mismatch_raises(tmp_path, body, match):
+    path = tmp_path / "bad.csv"
+    path.write_text("dim,n_points\n" + body)
+    with pytest.raises(ValueError, match=match):
+        read_field_csv(path)
