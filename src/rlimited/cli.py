@@ -43,14 +43,19 @@ def _write_json(path: str, doc: dict) -> None:
 
 
 def _write_rule_csv(path: str, weights, nodes) -> None:
+    """Columns x1..xd,w_re,w_im; complex nodes (the sinc_gauss rules)
+    write each coordinate as an x<i>_re,x<i>_im pair."""
     w = np.asarray(weights, dtype=complex)
-    nod = np.atleast_2d(np.asarray(nodes, dtype=float))
+    nod = np.atleast_2d(np.asarray(nodes))
     if nod.shape[0] != len(w):
         nod = nod.T
+    names = ["x%d" % (i + 1) for i in range(nod.shape[1])]
+    if np.iscomplexobj(nod):
+        names = [x + part for x in names for part in ("_re", "_im")]
+        nod = np.stack([nod.real, nod.imag], axis=-1).reshape(len(w), -1)
     with open(path, "w") as fh:
-        fh.write(",".join("x%d" % (i + 1) for i in range(nod.shape[1]))
-                 + ",w_re,w_im\n")
-        fh.write(format_rows([nod, w.real, w.imag]))
+        fh.write(",".join(names) + ",w_re,w_im\n")
+        fh.write(format_rows([nod.astype(float), w.real, w.imag]))
 
 
 def _grid_points(extent: float, n: int, dim: int):
@@ -92,8 +97,10 @@ def cmd_quad(args) -> int:
                         q.weights, q.nodes)
         if rep is not None:
             print("max moment residual: %.3e" % rep["max_abs"])
-        print("nodes: %d  weight sum: %.12g" % (len(q.weights),
-                                                float(np.sum(q.weights))))
+        wsum = np.sum(q.weights)
+        print("nodes: %d  weight sum: %s" % (
+            len(q.weights), "%.12g" % wsum if np.isrealobj(wsum)
+            else "%.12g%+.12gj" % (wsum.real, wsum.imag)))
         return 0
 
     M = args.M

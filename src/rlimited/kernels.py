@@ -380,16 +380,6 @@ def region_kernel_exact(r: Region, x):
 _DQ_CUT = 1e-3
 
 
-def _ik_vec(k: int, a) -> np.ndarray:
-    """power_exp_integral(k, i a) elementwise over a real array."""
-    a = np.asarray(a, dtype=float)
-    flat = a.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    for i, v in enumerate(flat):
-        out[i] = power_exp_integral(k, 1j * v)
-    return out.reshape(a.shape)
-
-
 def k_triangle(spec: TriangleSpec, x, y):
     """Kernel of the wedge, finite on both symmetry lines.
 
@@ -409,13 +399,12 @@ def k_triangle(spec: TriangleSpec, x, y):
     gm = cosinc(a - bs) - 1j * sinc(a - bs)
     dq = np.asarray((gp - gm) / (2.0 * bs), dtype=complex)
     if np.any(small):
-        asm = a[small]
+        ik = power_exp_integral(np.arange(1, 8, 2)[:, None], 1j * a[small])
         b2 = b[small] ** 2
-        dq[small] = (_ik_vec(1, asm) - b2 * _ik_vec(3, asm) / 6.0 +
-                     b2 ** 2 * _ik_vec(5, asm) / 120.0 -
-                     b2 ** 3 * _ik_vec(7, asm) / 5040.0)
+        dq[small] = (ik[0] - b2 * ik[1] / 6.0 + b2 ** 2 * ik[2] / 120.0 -
+                     b2 ** 3 * ik[3] / 5040.0)
     out = 2.0 * spec.dp ** 2 * spec.s * dq
-    return _scalar(out, complex)
+    return _scalar(out)
 
 
 def triangle_scaling_refine(spec: TriangleSpec, x, y, value_pair):
@@ -624,40 +613,41 @@ _PHI_TAYLOR_CUT = 1e-2
 _PHI_SERIES_TERMS = 12
 
 
-def _f_derivs(a: float, jmax: int) -> np.ndarray:
-    """F^{(j)}(a) for F(c) = expc(ic), j = 0..jmax: equals i^j I_j(ia)."""
-    return np.array([(1j ** j) * power_exp_integral(j, 1j * a)
-                     for j in range(jmax + 1)], dtype=complex)
+def _expc_derivs(ks, c) -> np.ndarray:
+    """F^{(k)}(c) = i^k I_k(ic) of F(c) = expc(ic), one row per k in ks,
+    over a real array c; sinc and cosinc are Re F and Im F."""
+    return (np.array([1j ** k for k in ks])[:, None]
+            * power_exp_integral(np.array(ks)[:, None], 1j * c))
 
 
-def _phi_derivs(a: float, v: float, kmax: int) -> np.ndarray:
-    """Phi^{(k)}(v), k = 0..kmax, for Phi(u) = (F(a+u) - F(a))/u.
+def _phi_derivs(a, v, kmax: int) -> np.ndarray:
+    """Phi^{(k)}(v), k = 0..kmax in rows, for Phi(u) = (F(a+u) - F(a))/u
+    and F(c) = expc(ic), elementwise over 1-D arrays a, v.
 
     Upward recurrence Phi^{(k)} = (F^{(k)}(a+v) - k Phi^{(k-1)})/v away
     from v = 0; below |v| = 1e-2 the Taylor ladder
     Phi^{(k)}(v) = sum_i F^{(i+k+1)}(a) v^i / (i! (i+k+1)).
     """
-    out = np.empty(kmax + 1, dtype=complex)
-    if abs(v) >= _PHI_TAYLOR_CUT:
-        fav = _f_derivs(a + v, kmax)
-        fa0 = power_exp_integral(0, 1j * a)
-        phi = (fav[0] - fa0) / v
-        out[0] = phi
-        for k in range(1, kmax + 1):
-            phi = (fav[k] - k * phi) / v
-            out[k] = phi
-        return out
-    fd = _f_derivs(a, kmax + _PHI_SERIES_TERMS + 1)
-    for k in range(kmax + 1):
-        acc = 0.0 + 0.0j
-        ifac = 1.0
-        vpow = 1.0
-        for i in range(_PHI_SERIES_TERMS):
-            if i:
-                ifac *= i
-                vpow *= v
-            acc += fd[i + k + 1] * vpow / (ifac * (i + k + 1))
-        out[k] = acc
+    out = np.empty((kmax + 1, len(a)), dtype=complex)
+    up = np.abs(v) >= _PHI_TAYLOR_CUT
+    au, vu = a[up], v[up]
+    fav = _expc_derivs(range(kmax + 1), au + vu)
+    phi = (fav[0] - power_exp_integral(0, 1j * au)) / vu
+    out[0, up] = phi
+    for k in range(1, kmax + 1):
+        phi = (fav[k] - k * phi) / vu
+        out[k, up] = phi
+    at, vt = a[~up], v[~up]
+    fd = _expc_derivs(range(kmax + _PHI_SERIES_TERMS + 1), at)
+    ks = np.arange(kmax + 1)[:, None]
+    acc = np.zeros((kmax + 1, len(at)), dtype=complex)
+    ifac, vpow = 1.0, np.ones(len(at))
+    for i in range(_PHI_SERIES_TERMS):
+        if i:
+            ifac *= i
+            vpow = vpow * vt
+        acc = acc + fd[i + 1:i + kmax + 2] * vpow / (ifac * (i + ks + 1))
+    out[:, ~up] = acc
     return out
 
 
@@ -686,21 +676,19 @@ def k_tetra(spec: TetraSpec, x, y, z):
     phi_m = (expc(1j * (a + vm)) - fa) / vm
     D = np.asarray((phi_p - phi_m) / (2.0 * bs), dtype=complex)
     if not np.all(far):
-        idx = np.nonzero(~far.ravel())[0]
-        af, vf, bf = a.ravel()[idx], v.ravel()[idx], b.ravel()[idx]
-        Dfix = np.empty(len(idx), dtype=complex)
-        for i, (ai, vi, bi) in enumerate(zip(af, vf, bf)):
-            if abs(bi) <= _DQ_CUT:
-                ph = _phi_derivs(ai, vi, 5)
-                Dfix[i] = (ph[1] + bi ** 2 * ph[3] / 6.0 +
-                           bi ** 4 * ph[5] / 120.0)
-            else:
-                pp = _phi_derivs(ai, vi + bi, 0)[0]
-                pm = _phi_derivs(ai, vi - bi, 0)[0]
-                Dfix[i] = (pp - pm) / (2.0 * bi)
-        D.ravel()[idx] = Dfix
+        # series in b near x = 0, else the quotient of two Phi values
+        on = ~far & (np.abs(b) <= _DQ_CUT)
+        off = ~far & ~on
+        ao, vo, bo = a[off], v[off], b[off]
+        ph = _phi_derivs(np.concatenate([a[on], ao, ao]),
+                         np.concatenate([v[on], vo + bo, vo - bo]), 5)
+        ph_on, pp, pm = np.split(ph, np.cumsum([on.sum(), len(bo)]), axis=1)
+        bn = b[on]
+        D[on] = (ph_on[1] + bn ** 2 * ph_on[3] / 6.0 +
+                 bn ** 4 * ph_on[5] / 120.0)
+        D[off] = (pp[0] - pm[0]) / (2.0 * bo)
     out = -2.0 * spec.h ** 3 * spec.dp ** 2 * spec.s * D
-    return _scalar(out, complex)
+    return _scalar(out)
 
 
 def tetra_quadrature(spec: TetraSpec, M1: int, M2: int, M3: int,
@@ -838,16 +826,6 @@ def tetra_symmetric_quadrature(M1: int, M2: int, M3: int,
 # light-cone kernels
 
 
-def _cosinc_derivs_at(a, ks) -> dict:
-    """cosinc^{(k)}(a) = Im[i^k I_k(ia)] for each k in ks, vectorized."""
-    return {k: np.imag((1j ** k) * _ik_vec(k, a)) for k in ks}
-
-
-def _sinc_derivs_at(a, ks) -> dict:
-    """sinc^{(k)}(a) = Re[i^k I_k(ia)] for each k in ks, vectorized."""
-    return {k: np.real((1j ** k) * _ik_vec(k, a)) for k in ks}
-
-
 def k_cone(spec: ConeSpec, t, x):
     """Kernel of the light cone at time t and spatial offset x.
 
@@ -890,10 +868,10 @@ def _k_cone_1(spec: ConeSpec, t, x):
     if np.any(small):
         asm = a[small]
         b2 = b[small] ** 2
-        cd = _cosinc_derivs_at(asm, (1, 3, 5))
-        dq[small] = cd[1] + b2 * cd[3] / 6.0 + b2 ** 2 * cd[5] / 120.0
+        cd = _expc_derivs((1, 3, 5), asm).imag    # cosinc^{(k)}(a)
+        dq[small] = cd[0] + b2 * cd[1] / 6.0 + b2 ** 2 * cd[2] / 120.0
     out = (4.0 * w0 ** 2 * p * dq).astype(complex)
-    return _scalar(out, complex)
+    return _scalar(out)
 
 
 def _j1c(z: float) -> float:
@@ -934,7 +912,7 @@ def _k_cone_2(spec: ConeSpec, t, x):
                    0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=400)[0]
         out[i] = pref * val
     out = out.reshape(t.shape)
-    return _scalar(out, complex)
+    return _scalar(out)
 
 
 def _k_cone_3(spec: ConeSpec, t, x):
@@ -954,13 +932,13 @@ def _k_cone_3(spec: ConeSpec, t, x):
     if np.any(small):
         asm = a[small]
         bsm = b[small]
-        cd = _cosinc_derivs_at(asm, (3, 5, 7, 9, 11, 13))
+        cd = _expc_derivs(range(3, 14, 2), asm).imag    # cosinc^{(j)}(a)
         acc = np.zeros_like(asm)
-        for j in (3, 5, 7, 9, 11, 13):
-            acc += cd[j] * bsm ** (j - 3) * (1.0 - j) / math.factorial(j)
+        for j, cdj in zip(range(3, 14, 2), cd):
+            acc += cdj * bsm ** (j - 3) * (1.0 - j) / math.factorial(j)
         out[small] = (w0 / np.pi ** 2) * kap ** 3 * acc
     out = out.astype(complex)
-    return _scalar(out, complex)
+    return _scalar(out)
 
 
 def _cd1(u):
@@ -1028,7 +1006,7 @@ def tilde_k_cone(spec: ConeSpec, j1_rule: Quadrature1D, t, r):
         # carries r^2, so divide it out analytically before summing
         ats = at[~big]
         rsm = r[~big]
-        sd = _sinc_derivs_at(ats, (2, 4, 6, 8, 10, 12))
+        sd = _expc_derivs(range(2, 13, 2), ats).real    # sinc^{(j)}(at)
         scale = (2.0 * np.pi * w0 * p) ** 2
         acc = np.zeros_like(ats)
         for am, gm in zip(alpha, gamma):
@@ -1036,13 +1014,13 @@ def tilde_k_cone(spec: ConeSpec, j1_rule: Quadrature1D, t, r):
             c2 = g2s * rsm * rsm
             inner = np.zeros_like(ats)
             cpow = np.ones_like(ats)
-            for j in (2, 4, 6, 8, 10, 12):
-                inner += sd[j] * g2s * cpow / math.factorial(j)
+            for j, sdj in zip(range(2, 13, 2), sd):
+                inner += sdj * g2s * cpow / math.factorial(j)
                 cpow = cpow * c2
             acc += (am / gm) * inner
         out[~big] = -(w0 / np.pi) * acc
     out = out.astype(complex)
-    return _scalar(out, complex)
+    return _scalar(out)
 
 
 def _x_overlap(gamma: float) -> float:
@@ -1172,7 +1150,7 @@ def k_ball(k_max: float, x):
     vol = 4.0 * np.pi * k_max ** 3 / 3.0
     series = vol * (1.0 - u * u / 10.0 + u ** 4 / 280.0)
     out = np.where(small, series, direct).astype(complex)
-    return _scalar(out, complex)
+    return _scalar(out)
 
 
 def ball_quadrature(k_max: float, M_r: int, M_th: int, M_t: int,

@@ -17,9 +17,9 @@ import numpy as np
 _SERIES_CUT = 1e-3
 
 
-def _scalar(out, kind=float):
-    """A 0-d result as a Python `kind` (float or complex); arrays pass."""
-    return kind(out) if out.ndim == 0 else out
+def _scalar(out):
+    """A 0-d result as the Python scalar of its dtype; arrays pass."""
+    return out.item() if out.ndim == 0 else out
 
 
 def sinc(x):
@@ -63,34 +63,54 @@ def expc(z):
             1.0 / 40320.0 + z * (1.0 / 362880.0 + z * (
                 1.0 / 3628800.0 + z / 39916800.0)))))))))
     out = np.where(small, series, (np.exp(zs) - 1.0) / zs)
-    return _scalar(out, complex)
+    return _scalar(out)
 
 
-def power_exp_integral(k: int, z) -> complex:
-    """∫₀¹ v^k e^{z v} dv for complex z.
+def power_exp_integral(k, z):
+    """I_k(z) = ∫₀¹ v^k e^{z v} dv for complex z, elementwise.
 
-    Series for |z| <= 8, upward recurrence from expc above.  For purely
-    imaginary z the magnitude is bounded by 1/(k+1), which keeps the
-    recurrence well behaved for the small k used here.
+    k is a non-negative int or an int array broadcast against z
+    (ValueError otherwise); scalar k and z give a Python complex.  For
+    |z| <= 8 the series sum_j z^j / (j! (k+j+1)) stops at a term below
+    1e-17 of the total (4 to 300 terms), real and imaginary parts kept in
+    a scalar complex loop's order of operations, so each element gets
+    that loop's bits.  Above 8 the upward recurrence from expc, which is
+    well behaved for imaginary z (|I_k| <= 1/(k+1)) and small k.
     """
-    z = complex(z)
-    if abs(z) <= 8.0:
-        term = 1.0 + 0.0j
-        total = term / (k + 1)
-        j = 0
-        while j < 300:
-            j += 1
-            term *= z / j
-            c = term / (k + j + 1)
-            total += c
-            if abs(c) <= 1e-17 * max(1.0, abs(total)) and j > 3:
+    ks = np.asarray(k)
+    if ks.dtype.kind not in "iu" or np.any(ks < 0):
+        raise ValueError("k must be a non-negative int, got %r" % (k,))
+    k, z = np.broadcast_arrays(ks, np.asarray(z, dtype=complex))
+    out = np.empty(z.shape, dtype=complex)
+    near = np.hypot(z.real, z.imag) <= 8.0
+    zf, kf = z[~near], k[~near]
+    ez = np.exp(zf)
+    val = (ez - 1.0) / zf
+    for i in range(1, int(kf.max(initial=0)) + 1):
+        val = np.where(kf >= i, (ez - i * val) / zf, val)
+    out[~near] = val
+    flat, live = out.reshape(-1), np.flatnonzero(near)
+    zr, zi, d = z.real[near], z.imag[near], k[near] + 1.0
+    tr, ti = np.ones(live.size), np.zeros(live.size)
+    sr, si = tr / d, ti / d
+    for j in range(1, 301):
+        wr, wi = zr / j, zi / j
+        tr, ti = tr * wr - ti * wi, tr * wi + ti * wr
+        d += 1.0
+        cr, ci = tr / d, ti / d
+        sr += cr
+        si += ci
+        if j > 3:   # an element leaves `live` at its own stop test
+            done = np.hypot(cr, ci) <= 1e-17 * np.fmax(1.0, np.hypot(sr, si))
+            if done.any():
+                idx = live[done]
+                flat.real[idx], flat.imag[idx] = sr[done], si[done]
+                live, zr, zi, d, tr, ti, sr, si = (
+                    x[~done] for x in (live, zr, zi, d, tr, ti, sr, si))
+            if not live.size:
                 break
-        return total
-    ez = np.exp(z)
-    val = (ez - 1.0) / z
-    for i in range(1, k + 1):
-        val = (ez - i * val) / z
-    return complex(val)
+    flat.real[live], flat.imag[live] = sr, si
+    return _scalar(out)
 
 
 @dataclass(frozen=True)

@@ -126,7 +126,7 @@ def discrete_fourier_repr_1d(fhat_at_nodes, q: Quadrature1D, B: float, t):
     a = np.asarray(q.weights, dtype=float) * (float(B) / float(q.band))
     t = np.asarray(t, dtype=float)
     out = np.exp(2j * np.pi * B * t[..., None] * om) @ (a * vals)
-    return _scalar(out, complex)
+    return _scalar(out)
 
 
 def discrete_repr_error_bound(a: CosineSumApprox, B: float, T: float,
@@ -254,7 +254,7 @@ def sampling_interpolation_1d(f_at_nodes, q: Quadrature1D, B: float, t,
     t = np.asarray(t, dtype=float)
     kern = 2.0 * B * sinc(2.0 * np.pi * B * (t[..., None] - om))
     out = kern @ (al * c)
-    return _scalar(out, complex)
+    return _scalar(out)
 
 
 def sampling_interpolation_scaled(f_at_nodes, q: Quadrature1D, B: float,

@@ -226,8 +226,9 @@ def extend_prolate(ev: ProlateEvaluator, n: int, t, mu_min: float = 1e-8):
             / (B * lam)
     else:
         kern = 2.0 * B * sinc(2.0 * np.pi * B * (t[..., None] - om))
-        out = kern @ (a * phi) / (B * mu)
-    return _scalar(out, complex)
+        # complex like the exp route, also when the eigenvectors are real
+        out = (kern @ (a * phi) / (B * mu)).astype(complex)
+    return _scalar(out)
 
 
 # --------------------------------------------------------------------------

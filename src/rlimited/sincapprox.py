@@ -213,7 +213,7 @@ def eval_chirplet_sum(c: ChirpletApprox, x):
             term = np.exp(-gam * x[..., None] ** 2 +
                           2j * B * ls * x[..., None])
         out = out + (alpha / 3 ** c.level) * term.sum(axis=-1)
-    return _scalar(out, complex)
+    return _scalar(out)
 
 
 # Largest base band the M ~ 8 Gauss half rule still resolves to ~1e-13;

@@ -30,6 +30,27 @@ def test_quad_preset_gauss_legendre(tmp_path, capsys):
     assert len(lines) == 9
 
 
+def test_quad_complex_rule_csv_keeps_imaginary_parts(tmp_path, capsys):
+    # sinc_gauss at M=4 has two conjugate node pairs; the CSV must carry
+    # the imaginary parts and the printed weight sum must be complex
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["quad", "--preset", "sinc_gauss", "--M", "4",
+                     "--out", str(tmp_path)]) == 0
+    q = quadrature_from_json(json.load(open(tmp_path / "quadrature.json")))
+    lines = open(tmp_path / "quadrature_nodes.csv").read().splitlines()
+    assert lines[0] == "x1_re,x1_im,w_re,w_im"
+    rows = np.array([[float(t) for t in ln.split(",")] for ln in lines[1:]])
+    nodes = rows[:, 0] + 1j * rows[:, 1]
+    weights = rows[:, 2] + 1j * rows[:, 3]
+    assert np.array_equal(nodes, q.nodes)
+    assert np.array_equal(weights, q.weights)
+    assert nodes[0] == np.conj(nodes[1]) and nodes[0].imag != 0.0
+    wsum = np.sum(q.weights)
+    out = capsys.readouterr().out
+    assert "weight sum: %.12g%+.12gj" % (wsum.real, wsum.imag) in out
+
+
 def test_quad_preset_uniform_symmetric(tmp_path, capsys):
     rc = main(["quad", "--preset", "uniform", "--band", "5.25",
                "--M", "10", "--symmetric", "--out", str(tmp_path)])

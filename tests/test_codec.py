@@ -58,14 +58,17 @@ def old_write_json(path, doc):
 
 
 def old_write_rule_csv(path, weights, nodes):
+    # per-element rows; complex nodes as x<i>_re,x<i>_im column pairs
     w = np.asarray(weights)
-    nod = np.atleast_2d(np.asarray(nodes, dtype=float))
+    nod = np.atleast_2d(np.asarray(nodes))
     if nod.shape[0] != len(w):
         nod = nod.T
+    names = ["x%d" % (i + 1) for i in range(nod.shape[1])]
+    if np.iscomplexobj(nod):
+        names = [x + part for x in names for part in ("_re", "_im")]
+        nod = [[p for c in row for p in (c.real, c.imag)] for row in nod]
     with open(path, "w") as fh:
-        dim = nod.shape[1]
-        fh.write(",".join("x%d" % (i + 1) for i in range(dim))
-                 + ",w_re,w_im\n")
+        fh.write(",".join(names) + ",w_re,w_im\n")
         for row, wv in zip(nod, w):
             wc = complex(wv)
             fh.write(",".join("%.17g" % c for c in row)
@@ -284,7 +287,7 @@ CLI_JOBS = {
 
 
 @pytest.mark.parametrize("job", sorted(CLI_JOBS))
-@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
 def test_cli_artifacts_match_the_old_writers(tmp_path, capsys, monkeypatch,
                                              job):
     argv, files = CLI_JOBS[job]

@@ -53,6 +53,80 @@ def test_power_exp_integral_vs_quadrature(k, z):
     assert abs(val - (re + 1j * im)) < 1e-11, (k, z, val)
 
 
+def scalar_power_exp_integral(k, z):
+    """The scalar routine the array ladder replaced, kept as its bitwise
+    reference."""
+    z = complex(z)
+    if abs(z) <= 8.0:
+        term = 1.0 + 0.0j
+        total = term / (k + 1)
+        j = 0
+        while j < 300:
+            j += 1
+            term *= z / j
+            c = term / (k + j + 1)
+            total += c
+            if abs(c) <= 1e-17 * max(1.0, abs(total)) and j > 3:
+                break
+        return total
+    ez = np.exp(z)
+    val = (ez - 1.0) / z
+    for i in range(1, k + 1):
+        val = (ez - i * val) / z
+    return complex(val)
+
+
+def _bits(z):
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real, z.imag]).view(np.uint64)
+
+
+def test_power_exp_integral_matches_the_scalar_routine_bitwise():
+    # 10^4 values on each side of |z| = 8, purely imaginary (as the kernels
+    # pass them) and general complex; each value is checked at three k of
+    # 0..20, the special values at every k.  Both the per-k call and one
+    # broadcast ladder call must reproduce the scalar routine bit for bit.
+    rng = np.random.default_rng(20)
+    n = 5000
+    ia = 1j * np.concatenate([rng.uniform(-8, 8, n), rng.uniform(8, 40, n)
+                              * rng.choice([-1.0, 1.0], n)])
+    zc = np.concatenate([
+        rng.uniform(0, 8, n) * np.exp(2j * np.pi * rng.uniform(size=n)),
+        rng.uniform(8, 40, n) * np.exp(2j * np.pi * rng.uniform(size=n))])
+    z = np.concatenate([ia, zc])
+    assert np.sum(np.abs(z) <= 8) == np.sum(np.abs(z) > 8) == 10 ** 4
+    ks = np.arange(21)
+    k_of = np.stack([np.arange(len(z)) % 21, (np.arange(len(z)) + 7) % 21,
+                     (np.arange(len(z)) + 14) % 21])
+    special = np.concatenate([
+        1j * np.array([0.0, -0.0, 1e-8, -1e-8, 8.0, -8.0, np.nextafter(8, 9),
+                       np.nextafter(8, 7), 1e-300]),
+        [0j, 1e-8, -1e-8, 8.0, -8.0, 8 * np.exp(0.3j), 1e-8 + 1e-8j]])
+    for kk in k_of:
+        want = np.array([scalar_power_exp_integral(int(k), v)
+                         for k, v in zip(kk, z.tolist())])
+        assert np.array_equal(_bits(power_exp_integral(kk, z)), _bits(want))
+        for k in ks:
+            sel = kk == k
+            assert np.array_equal(_bits(power_exp_integral(int(k), z[sel])),
+                                  _bits(want[sel])), k
+    ladder = power_exp_integral(ks[:, None], special)
+    for k in ks:
+        want = [scalar_power_exp_integral(int(k), v) for v in special.tolist()]
+        assert np.array_equal(_bits(ladder[k]), _bits(want)), k
+        for v, w in zip(special.tolist(), want):
+            got = power_exp_integral(int(k), v)
+            assert type(got) is complex
+            assert _bits(got).tolist() == _bits(w).tolist(), (k, v)
+
+
+@pytest.mark.parametrize("k,z", [(-1, 10j), (-1, 1j), (2.5, 10j)])
+def test_power_exp_integral_rejects_a_bad_k(k, z):
+    # these once returned I_0, divided by zero and raised TypeError
+    with pytest.raises(ValueError, match="non-negative int"):
+        power_exp_integral(k, z)
+
+
 def test_sinc_derivative_identity():
     # d/du sinc at u: Re[i I_1(iu)] by differentiating under the integral
     u = 0.7

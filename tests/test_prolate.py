@@ -67,6 +67,20 @@ def test_extensions_agree_off_nodes(exp_basis, ker_basis):
     assert np.max(np.abs(e0 - phase * k0)) < 1e-8
 
 
+def test_extension_is_complex_on_both_routes(exp_basis, ker_basis):
+    # the kernel route sums real eigenvectors, yet like the exp route it
+    # returns complex values, for a scalar t and an array t alike
+    t = np.array([-0.3, 0.0, 0.7])
+    for basis in (exp_basis, ker_basis):
+        ev = P.ProlateEvaluator(basis)
+        arr = P.extend_prolate(ev, 1, t)
+        assert arr.dtype == complex, basis.kind
+        for ti, vi in zip(t, arr):
+            one = P.extend_prolate(ev, 1, ti)
+            assert type(one) is complex
+            assert abs(one - vi) <= 1e-14 * max(1.0, abs(vi))
+
+
 def test_extension_guards(exp_basis, freq_rule):
     ev = P.ProlateEvaluator(exp_basis)
     with pytest.raises(IndexError):
