@@ -9,11 +9,12 @@ clouds still store plain (w, k) rows.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 from dataclasses import dataclass, field
-from scipy.integrate import quad, simpson
+from scipy.integrate import quad
 from scipy.special import j1 as bessel_j1
 
 from .numkit import _scalar, sinc, cosinc, expc, power_exp_integral
@@ -455,14 +456,34 @@ def _difference_widths(target_box):
     return tuple(float(hi - lo) for lo, hi in target_box)
 
 
-def _error_profile(surrogate, exact, box, grid_n: int) -> dict:
-    """max |exact - surrogate| on a grid_n^d tensor grid over box; both
-    callables take an (n, d) point array."""
+def _error_profile(cloud, exact, box, grid_n: int) -> dict:
+    """max |exact - sum_m w_m e^{i 2 pi k_m.x}| on a grid_n^d tensor grid
+    over box; cloud is (w, k) with k in the grid's coordinates and exact
+    takes the (n, d) grid points in meshgrid "ij" order.
+
+    e^{i 2 pi k.x} factors over the axes, so the sum is contracted one axis
+    at a time from d factors E_j = e^{i 2 pi x_j k_j} of G x N (G = grid_n,
+    N nodes): E_0 w in 1D, (E_0 w) E_1^T in 2D, and one such product per
+    point of axis 0 in 3D.  That takes d G N exponentials instead of G^d N
+    and O(G N) temporary memory.
+    """
     box = [[float(lo), float(hi)] for lo, hi in box]
     axes = [np.linspace(lo, hi, grid_n) for lo, hi in box]
+    w, k = cloud
+    E = [np.exp(2j * np.pi * np.outer(ax, k[:, j]))
+         for j, ax in enumerate(axes)]
+    if len(E) == 1:
+        approx = E[0] @ w
+    else:
+        approx = np.empty((grid_n,) * len(E), dtype=complex)
+        for lead in itertools.product(range(grid_n), repeat=len(E) - 2):
+            wl = w
+            for j, i in enumerate(lead):
+                wl = wl * E[j][i]
+            approx[lead] = (E[-2] * wl) @ E[-1].T
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    err = np.max(np.abs(np.asarray(exact(pts)) - surrogate(pts)))
+    err = np.max(np.abs(np.asarray(exact(pts)) - approx.ravel()))
     return {"max_err": float(err), "box": box, "grid_n": int(grid_n)}
 
 
@@ -473,7 +494,7 @@ def _with_profile(q: QuadratureND, exact, target_box,
     if profile_grid:
         box = [[-w, w] for w in _difference_widths(target_box)]
         q.provenance["error_profile"] = _error_profile(
-            q.eval_sum, exact, box, profile_grid)
+            (q.weights, q.scaled_nodes()), exact, box, profile_grid)
     return q
 
 
@@ -1034,18 +1055,18 @@ def _x_overlap(gamma: float) -> float:
     return gamma / 2.0 - root / 2.0 + math.log(gamma + root) / (2.0 * gamma)
 
 
-def _w_cross(gm: float, gp: float, R: float = 800.0,
-             n_grid: int = 240000) -> float:
-    """int_0^inf cosinc(gm u) cosinc(gp u) du / u by composite Simpson
-    plus the averaged tail beyond R."""
-    u = np.linspace(0.0, R, n_grid + 1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f = cosinc(gm * u) * cosinc(gp * u) / np.where(u > 0, u, 1.0)
-    f[0] = 0.0
-    body = simpson(f, x=u)
-    avg = 1.5 if abs(gm - gp) < 1e-12 else 1.0
-    tail = avg / (gm * gp * 2.0 * R * R)
-    return float(body + tail)
+def _w_cross(gm: float, gp: float) -> float:
+    """int_0^inf cosinc(gm u) cosinc(gp u) du / u, closed form.
+
+    With lambda = (a, b, a + b, |a - b|) and c = (-1, -1, 1/2, 1/2) it is
+    sum c_i lambda_i^2 ln lambda_i / (2 a b), 0^2 ln 0 = 0.  sum c_i
+    lambda_i^2 = 0, so only t = min/max enters:
+    [(1+t)^2 ln(1+t) + (1-t)^2 ln(1-t) - 2 t^2 ln t] / (4 t).
+    """
+    t = min(gm, gp) / max(gm, gp)
+    odd = (1.0 - t) ** 2 * math.log1p(-t) if t < 1.0 else 0.0
+    return ((1.0 + t) ** 2 * math.log1p(t) + odd
+            - 2.0 * t * t * math.log(t)) / (4.0 * t)
 
 
 def cone_ls_error(spec: ConeSpec, j1_rule: Quadrature1D) -> float:

@@ -360,14 +360,17 @@ def measure_kernel_profile(kernel: QuadratureND, base_box,
                            grid_n: int = 101) -> QuadratureND:
     """Copy of the kernel carrying a freshly measured error profile.
 
-    The surrogate is compared against the exact closed-form region kernel
-    on a tensor grid over base_box (base coordinates, i.e. the range of
-    B^T(x - s) differences the kernel must cover).
+    The sum is compared against |det B| times the exact closed-form region
+    kernel on a grid_n^d tensor grid over base_box (base coordinates, i.e.
+    the range of B^T(x - s) differences the kernel must cover).  At a base
+    point Y the banded sum is sum_m w_m e^{i 2 pi Y.k_m}, so the profile
+    contracts the base nodes one grid axis at a time: d grid_n N
+    exponentials and O(grid_n N) memory, so a 31^3 grid over a 10^4-node
+    cloud needs tens of MiB where the dense matrix would need gigabytes.
     """
     det = kernel.det_band()
-    inv = np.linalg.inv(kernel.band)
     prof = _error_profile(
-        lambda Y: kernel.eval_sum(Y @ inv),
+        (kernel.weights, kernel.nodes),
         lambda Y: det * region_kernel_exact(kernel.region, Y),
         base_box, grid_n)
     return replace(kernel, provenance={**kernel.provenance,

@@ -17,6 +17,10 @@ from .kernels import (QuadratureND, region_kernel_exact, region_to_json,
                       region_from_json)
 
 _TIE_TOL = 1e-10
+# mu is a concentration ratio, so mu_max - 1 beyond rounding means the rule
+# does not resolve the band: resolved solves stay below 1e-13 (n <= 800),
+# under-resolved ones read 1e-2 and more
+_MU_EXCESS_TOL = 1e-9
 _MIRROR_TOL = 1e-14  # relative; a symmetric rule's nodes and weights
 
 
@@ -88,7 +92,9 @@ def _solve(blocks, scale: float, quadrature, band, hermitian: bool,
     hermitian: eigh gives mu directly and lambda = sqrt(mu / scale) in
     magnitude (kernel system); otherwise lambda = unit * eigenvalue, by eigh
     for a real symmetric block or eig for a complex symmetric one, and
-    mu = scale |lambda|^2 (exponential system).
+    mu = scale |lambda|^2 (exponential system).  A top mu more than
+    _MU_EXCESS_TOL above 1 raises ValueError: the rule under-resolves the
+    band.
     """
     mus, lams, vecs = [], [], []
     for M_hat, d, unit, lift in blocks:
@@ -107,6 +113,10 @@ def _solve(blocks, scale: float, quadrature, band, hermitian: bool,
         vecs.append(lift(psi / d[:, None]))
     mu, lam, vecs = _order_and_fix(np.concatenate(mus), np.concatenate(lams),
                                    np.hstack(vecs))
+    if len(mu) and mu[0] - 1.0 > _MU_EXCESS_TOL:
+        raise ValueError("under-resolved rule: top mu %.12g exceeds 1 by more "
+                         "than %g; use more nodes or a smaller band"
+                         % (mu[0], _MU_EXCESS_TOL))
     prov = {"degenerate_blocks": _degenerate_blocks(mu),
             "n_nodes": len(vecs), **extra_provenance}
     if hermitian:

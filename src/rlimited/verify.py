@@ -196,7 +196,7 @@ def check_prolate_identities(grid=None, seed=None):
     rows = []
     worst = 0.0
     for B in (2.0, 5.0):
-        M = int(np.ceil(2 * B)) + 6
+        M = int(np.ceil(4 * B)) + 6
         q = symmetrize(gauss_legendre_01(M), B)
         for builder in (pswf_exp_eigensystem, pswf_kernel_eigensystem):
             basis = builder(q, B)
@@ -242,7 +242,7 @@ def check_prolate_identities(grid=None, seed=None):
 
 
 def check_eigenvalue_count(grid=None, seed=None):
-    B, M = 5.0, 16
+    B, M = 5.0, 26
     q = symmetrize(gauss_legendre_01(M), B)
     bk = pswf_kernel_eigensystem(q, B)
     n_half = int(np.sum(bk.eigenvalues_mu > 0.5))
@@ -444,7 +444,7 @@ def check_cone_ball(grid=None, seed=None):
     rule = solve_moment_problem(preset_moments("j1_cosinc", 1.0, 11), 6)
     ls = cone_ls_error(spec, rule)
     brute = cone_ls_error_bruteforce(spec, rule)
-    rows.append(_row("squared-error level: two routes agree (rel)", 0.05,
+    rows.append(_row("squared-error level: two routes agree (rel)", 1e-8,
                      abs(brute / ls - 1.0)))
 
     T_w = R_w = 6.0

@@ -148,6 +148,21 @@ def test_pswf_uniform_resolving_band(tmp_path, capsys):
     assert (tmp_path / "eigenbasis.json").exists()
 
 
+@pytest.mark.parametrize("band,M,kind", [("20", "40", "exp"),
+                                          ("5", "16", "exp"),
+                                          ("5", "16", "kernel")])
+def test_pswf_under_resolved_band_exit_2(tmp_path, capsys, band, M, kind):
+    # top mu was 2.21 (B=20, M=40) and 1.04 (B=5, M=16), printed with exit 0
+    rc = main(["pswf", "--band", band, "--M", M, "--kind", kind,
+               "--out", str(tmp_path)])
+    assert rc == 2
+    cap = capsys.readouterr()
+    assert cap.err.startswith("error: under-resolved rule") \
+        and cap.err.count("\n") == 1
+    assert "top mu" not in cap.out
+    assert not (tmp_path / "eigenbasis.json").exists()
+
+
 @pytest.mark.parametrize("grid", [11, 3])
 def test_kernel_eval_ball_matches_direct(tmp_path, capsys, grid):
     rc = main(["kernel-eval", "--region", "ball", "--kmax", "1.0",

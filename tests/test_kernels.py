@@ -322,7 +322,39 @@ def test_cone_ls_error_matches_bruteforce(M):
                                 M)
     ls = K.cone_ls_error(spec, rule)
     bf = K.cone_ls_error_bruteforce(spec, rule)
-    assert abs(bf / ls - 1) < 0.01, (ls, bf)
+    assert abs(bf / ls - 1) < 1e-9, (ls, bf)
+
+
+def _w_cross_mpmath(a, b, R=12):
+    """int_0^inf cosinc(au) cosinc(bu) du/u directly: mpmath quadrature on
+    [0, R], then the exact tail of (1 - cos au)(1 - cos bu) / (a b u^3),
+    whose cos(lam u)/u^3 pieces integrate through the cosine integral."""
+    import mpmath as mp
+    with mp.workdps(30):
+        a, b = mp.mpf(a), mp.mpf(b)
+        body = mp.quad(lambda u: (1 - mp.cos(a * u)) * (1 - mp.cos(b * u))
+                       / (a * b * u ** 3), mp.linspace(0, R, 4 * R + 1))
+
+        def tail(lam):
+            if lam == 0:
+                return 1 / (2 * mp.mpf(R) ** 2)
+            x = lam * R
+            return lam ** 2 * (mp.cos(x) / (2 * x ** 2) - mp.sin(x) / (2 * x)
+                               + mp.ci(x) / 2)
+        rest = (tail(0) - tail(a) - tail(b) + tail(a + b) / 2
+                + tail(abs(a - b)) / 2) / (a * b)
+        return float(body + rest)
+
+
+@pytest.mark.parametrize("a,b", [(0.7, 0.7), (1.0, 1.0 + 1e-9),
+                                 (1.0, 1.0 - 1e-7), (0.5, 1.3),
+                                 (2.0, 0.01), (30.0, 0.02), (1.0, 1e-3)])
+def test_w_cross_closed_form_matches_mpmath(a, b):
+    got = K._w_cross(a, b)
+    assert got == K._w_cross(b, a)
+    assert abs(got / _w_cross_mpmath(a, b) - 1.0) < 1e-13, got
+    if a == b:
+        assert abs(got - math.log(2.0)) < 1e-15
 
 
 def test_j1_expansion_rejects_bad_nodes():

@@ -111,6 +111,24 @@ def test_eigensystem_input_guards(freq_rule):
         P.pswf_kernel_eigensystem(bad, 1.0)
 
 
+@pytest.mark.parametrize("eigensystem", [P.pswf_exp_eigensystem,
+                                         P.pswf_kernel_eigensystem])
+@pytest.mark.parametrize("B,M", [(5.0, 10), (5.0, 16), (20.0, 40)])
+def test_under_resolved_rule_raises(eigensystem, B, M):
+    # mu_max - 1 was between 0.03 and 1.2 here, returned silently
+    with pytest.raises(ValueError, match="under-resolved rule"):
+        eigensystem(symmetrize(gauss_legendre_01(M), B), B)
+
+
+@pytest.mark.parametrize("eigensystem", [P.pswf_exp_eigensystem,
+                                         P.pswf_kernel_eigensystem])
+def test_resolved_rule_mu_within_tolerance(eigensystem):
+    for B, M in ((2.0, 10), (5.0, 24), (5.0, 200)):
+        mu = eigensystem(symmetrize(gauss_legendre_01(M), B), B) \
+            .eigenvalues_mu
+        assert mu[0] - 1.0 <= 1e-13
+
+
 def _flagged(nodes, weights):
     return Quadrature1D(weights=np.asarray(weights, dtype=float),
                         nodes=np.asarray(nodes, dtype=float), band=1.0,
@@ -129,9 +147,12 @@ def test_symmetric_flag_needs_a_mirror_rule(eigensystem):
     for q in bad:
         with pytest.raises(ValueError):
             eigensystem(q, 1.0)
-    # a mirror rule whose weights differ by 1 ulp is accepted
-    ok = _flagged([-0.5, 0.0, 0.5], [0.5, 1.0, np.nextafter(0.5, 1.0)])
-    assert len(eigensystem(ok, 1.0)) == 3
+    # a mirror rule whose weights differ by 1 ulp is accepted; 9 Gauss
+    # nodes resolve band 1, so the solve passes the mu <= 1 check too
+    x, w = np.polynomial.legendre.leggauss(9)
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    ok = _flagged(x, np.append(w[:-1], np.nextafter(w[-1], 1.0)))
+    assert len(eigensystem(ok, 1.0)) == 9
 
 
 def _eig_route(q, B):
