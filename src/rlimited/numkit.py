@@ -45,7 +45,7 @@ def cosinc(x):
     x2 = x * x
     series = x * (0.5 + x2 * (-1.0 / 24.0 + x2 * (1.0 / 720.0 + x2 * (
         -1.0 / 40320.0 + x2 / 3628800.0))))
-    out = np.where(small, series, (1.0 - np.cos(xs)) / xs)
+    out = np.where(small, series, 2.0 * np.sin(0.5 * xs) ** 2 / xs)
     return _scalar(out)
 
 

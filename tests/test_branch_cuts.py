@@ -23,11 +23,10 @@ TWO_PI = 2.0 * math.pi
 # kernels themselves move by well under 1e-15 between the two points
 BELOW, ABOVE = 1.0 - 1e-14, 1.0 + 1e-14
 # Series branches hold 1e-14.  The direct difference quotient just above
-# |b| = 1e-3 divides cosinc's own rounding by 2b; cosinc's direct form
-# (1 - cos u)/u is good only to about 1e-10 relative at u = 1e-3, which
-# leaves up to about 1e-11 on the wedge and n=1 cone kernels there.
+# |b| = 1e-3 divides cosinc's own rounding (an ulp or two) by 2b, which
+# leaves up to about 1e-13 on the wedge and n=1 cone kernels there.
 SERIES_TOL = 1e-14
-DIRECT_TOL = 5e-11
+DIRECT_TOL = 3e-13
 
 TRI = K.TriangleSpec(0.8, 0.7)
 TET = K.TetraSpec(0.7, 0.9, 1.3)
@@ -208,6 +207,7 @@ def test_conjugate_symmetry_of_each_closed_form(j1_rule):
         (lambda p: K.k_triangle(TRI, p[:, 0], p[:, 1]), u),
         (lambda p: K.k_tetra(TET, *p[:, :3].T), u),
         (lambda p: K.k_cone(CONE1, p[:, 0], p[:, 1]), u),
+        (lambda p: K.k_cone(CONE2, p[:, 0], p[:, 1:3]), u),
         (lambda p: K.k_cone(CONE3, p[:, 0], p[:, 1:]), u),
         (lambda p: K.tilde_k_cone(CONE2, j1_rule, p[:, 0],
                                   np.abs(p[:, 1]) * 1e-2), u),
@@ -222,7 +222,7 @@ def test_kernel_at_zero_is_the_measure(j1_rule):
     assert abs(K.k_triangle(TRI, 0.0, 0.0) - TRI.area) <= 1e-15 * TRI.area
     assert abs(K.k_tetra(TET, 0.0, 0.0, 0.0) - TET.volume) \
         <= 1e-15 * TET.volume
-    for spec in (CONE1, CONE3):
+    for spec in (CONE1, CONE2, CONE3):
         assert abs(K.k_cone(spec, 0.0, 0.0) - spec.measure) \
             <= 1e-15 * spec.measure
     # the surrogate's value at 0 is its own measure, the n=2 cone's up to
@@ -230,6 +230,7 @@ def test_kernel_at_zero_is_the_measure(j1_rule):
     assert abs(K.tilde_k_cone(CONE2, j1_rule, 0.0, 0.0) - CONE2.measure) \
         <= 1e-10 * CONE2.measure
     for f in (K.k_triangle(TRI, 0.0, 0.0), K.k_tetra(TET, 0.0, 0.0, 0.0),
-              K.k_cone(CONE1, 0.0, 0.0), K.k_cone(CONE3, 0.0, 0.0),
+              K.k_cone(CONE1, 0.0, 0.0), K.k_cone(CONE2, 0.0, 0.0),
+              K.k_cone(CONE3, 0.0, 0.0),
               K.tilde_k_cone(CONE2, j1_rule, 0.0, 0.0)):
         assert type(f) is complex

@@ -1,6 +1,9 @@
 """Region kernels, scaling identities, cascades, and symmetry machinery."""
+import functools
 import math
+import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad, dblquad
@@ -152,16 +155,20 @@ def test_k_cone_n2_against_bessel_oracle():
         assert rel < 1e-9, (t, r, rel)
 
 
-def _k_cone_2_array_integrand(spec, t, r):
-    """The n=2 cone kernel with the array-valued J1(z)/z integrand it had
-    before the scalar one: the reference k_cone must match bit for bit."""
+def _k_cone_2_quad(spec, t, r):
+    """The n=2 cone kernel by one adaptive `quad` per point, the route
+    k_cone took before its fixed composite rule."""
     def j1c(z):
-        z = np.asarray(z, dtype=float)
-        small = np.abs(z) <= 1e-4
-        zs = np.where(small, 1.0, z)
-        series = 0.5 - z * z / 16.0 + z ** 4 / 384.0
-        out = np.where(small, series, bessel_j1(zs) / zs)
-        return float(out) if out.ndim == 0 else out
+        if abs(z) <= 1e-4:
+            return 0.5 - z * z / 16.0 + z ** 4 / 384.0
+        return bessel_j1(z) / z
+
+    def sph_ratio(b):
+        # (sin b - b cos b)/b^3 with the limit 1/3
+        if abs(b) <= 1e-3:
+            b2 = b * b
+            return 1.0 / 3.0 - b2 / 30.0 + b2 * b2 / 840.0
+        return (math.sin(b) - b * math.cos(b)) / b ** 3
 
     w0, p = spec.omega0, spec.pmax
     t, r = np.broadcast_arrays(np.asarray(t, float), np.asarray(r, float))
@@ -170,7 +177,9 @@ def _k_cone_2_array_integrand(spec, t, r):
     for i, (ti, ri) in enumerate(zip(t.ravel(), r.ravel())):
         bt = 2.0 * np.pi * w0 * ti
         if abs(ri) <= 1e-12:
-            out[i] = pref * 0.5 * (sinc(bt) - 2.0 * K._sph_ratio(bt))
+            # radial limit: j1c -> 1/2, the integral closes in elementary
+            # terms
+            out[i] = pref * 0.5 * (sinc(bt) - 2.0 * sph_ratio(bt))
             continue
         br = 2.0 * np.pi * w0 * p * ri
         val = quad(lambda u: u * u * j1c(br * u) * math.cos(bt * u),
@@ -180,33 +189,109 @@ def _k_cone_2_array_integrand(spec, t, r):
 
 
 @pytest.mark.parametrize("omega0", [1.0, 50.0])
-def test_k_cone_n2_matches_array_integrand_bitwise(omega0):
+def test_k_cone_n2_matches_quad_oracle(omega0):
     spec = K.ConeSpec(omega0, 0.7, 2)
     rng = np.random.default_rng(5)
     scale = 3.0 / omega0
-    # every quad node of the tiny radius lands in the |z| <= 1e-4 series;
-    # the nodes of the cut radius fall on both sides of the cut
+    # every node of the tiny radius lands in the |z| <= 1e-4 series; the
+    # nodes of the cut radius fall on both sides of the cut
     tiny, cut = np.array([0.5e-4, 1.5e-4]) / (2 * np.pi * omega0 * spec.pmax)
     t = np.concatenate([[0.0, 0.3 * scale, 0.0, -0.2 * scale, 0.1 * scale],
                         rng.uniform(-scale, scale, 8)])
     r = np.concatenate([[0.0, 0.0, tiny, tiny, cut],
                         rng.uniform(0.0, scale, 8)])
     got = K.k_cone(spec, t, r)
-    assert np.array_equal(got, _k_cone_2_array_integrand(spec, t, r))
+    assert np.max(np.abs(got - _k_cone_2_quad(spec, t, r))) \
+        <= 1e-14 * spec.measure
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_gauss_legendre(n):
+    return mp.gauss_quadrature(n, "legendre")
+
+
+@functools.lru_cache(maxsize=None)
+def mp_cone_2_integral(alpha, beta):
+    """int_0^1 u^2 J1(beta u)/(beta u) cos(alpha u) du to 30 digits.
+
+    Through J1(z) = (1/pi) int_0^pi cos(th - z sin th) dth the u integral
+    closes: the term odd about th = pi/2 cancels and what is left is
+    (1/(pi beta)) int_0^{pi/2} sin th [A(beta sin th + alpha)
+    + A(beta sin th - alpha)] dth with A(c) = (sin c - c cos c)/c^2, an
+    elementary integrand whose phase moves at most beta per radian of th.
+    It is summed on panels of at most 24 rad with 30 nodes each, whose
+    error is far below 1e-30.  beta = 0 is the closed form of
+    (1/2) int_0^1 u^2 cos(alpha u) du.
+    """
+    with mp.workdps(30):
+        a, b = abs(mp.mpf(alpha)), mp.mpf(beta)
+        if b == 0:
+            if a == 0:
+                return mp.mpf(1) / 6
+            z = 1j * a
+            return mp.re((mp.exp(z) * (z * z - 2 * z + 2) - 2) / z ** 3) / 2
+
+        def A(c):
+            if abs(c) < mp.mpf("1e-3"):
+                return mp.fsum((-1) ** (k + 1) * 2 * k * c ** (2 * k - 1)
+                               / mp.factorial(2 * k + 1) for k in range(1, 8))
+            return (mp.sin(c) - c * mp.cos(c)) / c ** 2
+
+        x, w = _mp_gauss_legendre(30)
+        n = int(b * mp.pi / 2 / 24) + 1
+        h = mp.pi / 2 / n
+        acc = 0
+        for j in range(n):
+            for xi, wi in zip(x, w):
+                st = mp.sin(h * (j + (xi + 1) / 2))
+                acc += wi * st * (A(b * st + a) + A(b * st - a))
+        return acc * h / 2 / (mp.pi * b)
+
+
+def test_k_cone_n2_against_mpmath_at_high_band():
+    # omega0 = 400 puts |alpha| + |beta| up to 5000 rad, about 210 panels
+    spec = K.ConeSpec(400.0, 1.0, 2)
+    kap = 2 * np.pi * spec.omega0
+    # the nodes of these radii straddle the 1e-4 series cut of J1(z)/z
+    cut = np.array([0.5e-4, 1.5e-4, 3e-4]) / (kap * spec.pmax)
+    t = np.concatenate([[0.99, -0.99, 1.0, -1.0, 0.0, 0.0, 0.37],
+                        [0.0, 0.013, -0.4]])
+    r = np.concatenate([[1.0, 1.0, 0.0, 0.0, 0.0, 0.61, 0.25], cut])
+    got = K.k_cone(spec, t, r)
+    for ti, ri, g in zip(t, r, got):
+        ref = complex(4 * mp.pi * spec.omega0 ** 3 * spec.pmax ** 2
+                      * mp_cone_2_integral(kap * ti, kap * spec.pmax * ri))
+        assert abs(g - ref) <= 1e-15 * spec.measure, (ti, ri)
+
+
+def test_k_cone_n2_memory_does_not_grow_with_points():
+    # unchunked, the 20,000 x 32P node matrices alone would take 20 MiB
+    # each; the chunks hold about 2^18 elements whatever the point count
+    spec = K.ConeSpec(400.0, 1.0, 2)
+    rng = np.random.default_rng(11)
+    t = rng.uniform(-0.05, 0.05, 20000)
+    r = rng.uniform(0.0, 0.05, 20000)
+    tracemalloc.start()
+    try:
+        K.k_cone(spec, t, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2 ** 20, peak
 
 
 def test_j1c_across_series_cut_against_mpmath():
-    import mpmath
-
     cut = np.linspace(0.5e-4, 2e-4, 61)
     near = np.array([np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0)])
+    z = np.concatenate([cut, -cut, near, -near])
+    got = K._j1c(z)
     # J1(z)/z sits just below 1/2 here, where the spacing halves; the
     # ulps are counted at 1/2
     ulp = np.spacing(0.5)
-    with mpmath.workdps(30):
-        for z in np.concatenate([cut, -cut, near, -near]):
-            ref = float(mpmath.besselj(1, mpmath.mpf(float(z))) / float(z))
-            assert abs(K._j1c(float(z)) - ref) <= 2 * ulp, z
+    with mp.workdps(30):
+        for zi, g in zip(z, got):
+            ref = float(mp.besselj(1, mp.mpf(float(zi))) / float(zi))
+            assert abs(g - ref) <= 2 * ulp, zi
 
 
 def test_k_cone_rejects_bad_dimension():
@@ -238,6 +323,17 @@ def test_1d_spatial_input_holds_radii():
     assert got.shape == (2,)
     assert np.array_equal(got, [K.k_cone(spec, ti, ri)
                                 for ti, ri in zip(t, rc)])
+    # the kernel-eval cone grid (15^2, omega0 = 50): each point's value is
+    # the same alone, in the whole grid or in a random subset of it
+    spec = K.ConeSpec(50.0, 1.0, 2)
+    T, R = np.meshgrid(np.linspace(-1.0, 1.0, 15),
+                       np.linspace(1.0 / 15, 1.0, 15), indexing="ij")
+    t, rc = T.ravel(), R.ravel()
+    got = K.k_cone(spec, t, rc)
+    assert np.array_equal(got, [K.k_cone(spec, ti, ri)
+                                for ti, ri in zip(t, rc)])
+    sub = np.random.default_rng(3).choice(t.size, 40, replace=False)
+    assert np.array_equal(K.k_cone(spec, t[sub], rc[sub]), got[sub])
 
 
 def test_spatial_points_need_the_spatial_width():
@@ -329,7 +425,6 @@ def _w_cross_mpmath(a, b, R=12):
     """int_0^inf cosinc(au) cosinc(bu) du/u directly: mpmath quadrature on
     [0, R], then the exact tail of (1 - cos au)(1 - cos bu) / (a b u^3),
     whose cos(lam u)/u^3 pieces integrate through the cosine integral."""
-    import mpmath as mp
     with mp.workdps(30):
         a, b = mp.mpf(a), mp.mpf(b)
         body = mp.quad(lambda u: (1 - mp.cos(a * u)) * (1 - mp.cos(b * u))
