@@ -22,6 +22,7 @@ _TIE_TOL = 1e-10
 # under-resolved ones read 1e-2 and more
 _MU_EXCESS_TOL = 1e-9
 _MIRROR_TOL = 1e-14  # relative; a symmetric rule's nodes and weights
+_REBUILD = "; rebuild the basis with `rlimited pswf`"
 
 
 def _identity(v):
@@ -127,6 +128,29 @@ def _solve(blocks, scale: float, quadrature, band, hermitian: bool,
                       provenance=prov)
 
 
+def _half_rule(q: Quadrature1D, hint: str = ""):
+    """The positive half of a mirror rule, as (z, h, p, a).
+
+    z is 1 when a node sits at zero and h = len(nodes) // 2, so p holds
+    nodes[h:] with that node set to 0, and a their weights, the zero
+    node's halved.  Raises ValueError, with hint appended, unless the rule
+    is flagged symmetric and has ascending mirror-pair nodes with
+    mirror-equal weights.
+    """
+    if not q.symmetric:
+        raise ValueError("the parity split needs a symmetric rule" + hint)
+    w = np.asarray(q.weights, dtype=float)
+    om = np.asarray(q.nodes, dtype=float)
+    if (np.any(np.diff(om) <= 0)
+            or np.any(np.abs(om + om[::-1]) > _MIRROR_TOL * np.abs(om).max())
+            or np.any(np.abs(w - w[::-1]) > _MIRROR_TOL * np.abs(w))):
+        raise ValueError("symmetric rule needs ascending mirror-pair nodes "
+                         "with mirror-equal weights" + hint)
+    z, h = len(om) % 2, len(om) // 2
+    p = np.concatenate([[0.0] * z, om[h + z:]])
+    return z, h, p, np.concatenate([0.5 * w[h:h + z], w[h + z:]])
+
+
 def _parity_solve(q: Quadrature1D, B: float, kernels,
                   hermitian: bool) -> EigenBasis:
     """Both 1D systems commute with the reflection w -> -w of a mirror rule,
@@ -136,20 +160,10 @@ def _parity_solve(q: Quadrature1D, B: float, kernels,
     block with half its weight, which makes its border row carry the
     sqrt(2) of the normalized even vector (e_w + e_-w) / sqrt(2).
     """
-    if not q.symmetric:
-        raise ValueError("1D eigensystems need a symmetric rule")
+    z, h, p, a = _half_rule(q)
     if B <= 0:
         raise ValueError("band must be positive")
-    w = _positive_weights(q.weights)
-    om = np.asarray(q.nodes, dtype=float)
-    if (np.any(np.diff(om) <= 0)
-            or np.any(np.abs(om + om[::-1]) > _MIRROR_TOL * np.abs(om).max())
-            or np.any(np.abs(w - w[::-1]) > _MIRROR_TOL * w)):
-        raise ValueError("symmetric rule needs ascending mirror-pair nodes "
-                         "with mirror-equal weights")
-    z, h = len(om) % 2, len(om) // 2
-    p = np.concatenate([[0.0] * z, om[h + z:]])
-    d = np.sqrt(np.concatenate([0.5 * w[h:h + z], w[h + z:]]))
+    d = np.sqrt(_positive_weights(a))
     dd = d[:, None] * d[None, :]
     even, odd = kernels(p)
     blocks = [(dd * even, d, 1.0,
@@ -207,11 +221,19 @@ class ProlateEvaluator:
 def extend_prolate(ev: ProlateEvaluator, n: int, t, mu_min: float = 1e-8):
     """Continuous-argument phi_n(t); exact at the quadrature nodes.
 
-    exp_extension: (1/(B lambda_n)) sum_m a_m e^{i 2 pi B w_m t} phi_n(w_m)
+    exp_extension: (1/(B lambda_n)) sum_m a_m e^{i 2 pi B w_m t} phi_n(w_m),
+    summed over the half-rule p > 0 of the mirror rule: an even phi_n gives
+    (1/(B lambda_n)) [sum_p 2 a_p phi_n(p) cos(2 pi B t p) + a_0 phi_n(0)],
+    the a_0 term only when a node sits at 0, and an odd one
+    (i/(B lambda_n)) sum_p 2 a_p phi_n(p) sin(2 pi B t p).  So the exp route
+    needs a parity basis: a real phi_n that is exactly even or odd on a
+    mirror rule, as the eigensystems here build; anything else raises
+    ValueError.
     kernel_extension: (1/(B mu_n)) sum_m a_m 2B sinc(2 pi B (t-w_m)) phi_n(w_m)
 
     Error amplification goes as 1/mu_n, so eigenpairs below mu_min are
-    refused rather than silently extended.
+    refused rather than silently extended.  Both routes return complex
+    values.
     """
     b = ev.basis
     if not isinstance(b.quadrature, Quadrature1D):
@@ -224,21 +246,34 @@ def extend_prolate(ev: ProlateEvaluator, n: int, t, mu_min: float = 1e-8):
         raise ValueError("mu_%d = %.3e below the regularization floor %.1e"
                          % (n, mu, mu_min))
     B = float(b.band)
-    a = np.asarray(b.quadrature.weights, dtype=float)
-    om = np.asarray(b.quadrature.nodes, dtype=float)
     phi = b.eigenvectors[:, n]
     t = np.asarray(t, dtype=float)
     if ev.mode == "exp_extension":
         lam = complex(b.eigenvalues_lambda[n])
         if abs(lam) == 0:
             raise ValueError("lambda_%d = 0, extension undefined" % n)
-        out = np.exp(2j * np.pi * B * t[..., None] * om) @ (a * phi) \
-            / (B * lam)
+        _, h, p, a = _half_rule(b.quadrature, _REBUILD)
+        if np.iscomplexobj(phi):
+            if np.any(phi.imag != 0):
+                raise ValueError("phi_%d is complex, not a parity "
+                                 "eigenvector%s" % (n, _REBUILD))
+            phi = phi.real
+        if np.array_equal(phi, phi[::-1]):
+            trig, unit = np.cos, 2.0
+        elif np.array_equal(phi, -phi[::-1]):
+            trig, unit = np.sin, 2.0j
+        else:
+            raise ValueError("phi_%d is neither exactly even nor exactly "
+                             "odd%s" % (n, _REBUILD))
+        out = trig(2.0 * np.pi * B * t[..., None] * p) @ (a * phi[h:]) \
+            * (unit / (B * lam))
     else:
+        a = np.asarray(b.quadrature.weights, dtype=float)
+        om = np.asarray(b.quadrature.nodes, dtype=float)
         kern = 2.0 * B * sinc(2.0 * np.pi * B * (t[..., None] - om))
-        # complex like the exp route, also when the eigenvectors are real
-        out = (kern @ (a * phi) / (B * mu)).astype(complex)
-    return _scalar(out)
+        out = kern @ (a * phi) / (B * mu)
+    # complex on both routes, also for real eigenvectors and a scalar t
+    return _scalar(np.asarray(out, dtype=complex))
 
 
 # --------------------------------------------------------------------------
@@ -338,6 +373,7 @@ def eigenbasis_from_json(d: dict) -> EigenBasis:
         q = Quadrature1D(weights=np.asarray(d["weights"], dtype=float),
                          nodes=nodes, band=float(np.atleast_1d(band)[0]),
                          symmetric=True)
+        _half_rule(q, _REBUILD)
     else:
         q = QuadratureND(weights=np.asarray(d["weights"], dtype=float),
                          nodes=nodes, region=region_from_json(d["region"]),

@@ -68,17 +68,20 @@ def test_extensions_agree_off_nodes(exp_basis, ker_basis):
 
 
 def test_extension_is_complex_on_both_routes(exp_basis, ker_basis):
-    # the kernel route sums real eigenvectors, yet like the exp route it
-    # returns complex values, for a scalar t and an array t alike
+    # both routes sum real eigenvectors, yet they return complex values,
+    # for a scalar t and an array t alike, on an even and an odd mode
     t = np.array([-0.3, 0.0, 0.7])
+    assert exp_basis.eigenvalues_lambda[0].imag == 0
+    assert exp_basis.eigenvalues_lambda[1].real == 0
     for basis in (exp_basis, ker_basis):
         ev = P.ProlateEvaluator(basis)
-        arr = P.extend_prolate(ev, 1, t)
-        assert arr.dtype == complex, basis.kind
-        for ti, vi in zip(t, arr):
-            one = P.extend_prolate(ev, 1, ti)
-            assert type(one) is complex
-            assert abs(one - vi) <= 1e-14 * max(1.0, abs(vi))
+        for n in (0, 1):
+            arr = P.extend_prolate(ev, n, t)
+            assert arr.dtype == complex, basis.kind
+            for ti, vi in zip(t, arr):
+                one = P.extend_prolate(ev, n, ti)
+                assert type(one) is complex
+                assert abs(one - vi) <= 1e-14 * max(1.0, abs(vi))
 
 
 def test_extension_guards(exp_basis, freq_rule):
@@ -94,6 +97,83 @@ def test_extension_guards(exp_basis, freq_rule):
     nd = P.rslepian_exp_eigensystem(expsum_kernel(freq_rule))
     with pytest.raises(ValueError):
         P.extend_prolate(P.ProlateEvaluator(nd), 0, 0.0)
+
+
+def _exp_oracle(basis, n, t):
+    """The complex route: (1/(B lambda_n)) sum_m a_m e^{i 2 pi B w_m t}
+    phi_n(w_m) over the full rule."""
+    Bb = float(basis.band)
+    a = np.asarray(basis.quadrature.weights, dtype=float)
+    om = np.asarray(basis.quadrature.nodes, dtype=float)
+    t = np.asarray(t, dtype=float)
+    return np.exp(2j * np.pi * Bb * t[..., None] * om) \
+        @ (a * basis.eigenvectors[:, n]) / (Bb * basis.eigenvalues_lambda[n])
+
+
+@pytest.mark.parametrize("rule", ["uniform-201", "gauss-200"])
+def test_exp_extension_matches_the_complex_route(rule):
+    # 201 nodes with one at zero, and 200 without
+    q = {"uniform-201": uniform_rule(5.0, 100),
+         "gauss-200": symmetrize(gauss_legendre_01(100), 5.0)}[rule]
+    basis = P.pswf_exp_eigensystem(q, 5.0)
+    ev = P.ProlateEvaluator(basis)
+    t = np.concatenate([np.linspace(-1.3, 1.3, 1201), q.nodes])
+    mu = basis.eigenvalues_mu
+    checked = 0
+    for n in range(len(basis)):
+        if n >= 20 and mu[n] < 1e-8:
+            break
+        got = P.extend_prolate(ev, n, t)
+        want = _exp_oracle(basis, n, t)
+        scale = np.max(np.abs(basis.eigenvectors[:, n]))
+        if n >= 20:
+            scale /= np.sqrt(mu[n])
+        err = np.max(np.abs(got - want))
+        assert err <= 1e-14 * scale, (n, err / scale)
+        checked += 1
+    assert checked >= 20
+
+
+def _doc(basis):
+    return json.loads(json.dumps(P.eigenbasis_to_json(basis)))
+
+
+def test_exp_extension_refuses_what_cannot_be_parity_split(exp_basis):
+    # a pre-parity-split artifact: eigenvectors carry a complex phase
+    doc = _doc(exp_basis)
+    vecs = exp_basis.eigenvectors * np.exp(0.3j)
+    doc["eigenvectors"] = {"re": vecs.real.tolist(), "im": vecs.imag.tolist()}
+    rotated = P.ProlateEvaluator(P.eigenbasis_from_json(doc))
+    with pytest.raises(ValueError, match="rlimited pswf"):
+        P.extend_prolate(rotated, 0, 0.1)
+    # one entry moved by one ulp: neither exactly even nor exactly odd
+    for n in (0, 1):
+        doc = _doc(exp_basis)
+        row = doc["eigenvectors"]["re"][3]
+        row[n] = float(np.nextafter(row[n], np.inf))
+        bent = P.ProlateEvaluator(P.eigenbasis_from_json(doc))
+        with pytest.raises(ValueError, match="rlimited pswf"):
+            P.extend_prolate(bent, n, 0.1)
+        # the untouched modes still extend
+        P.extend_prolate(bent, 1 - n, 0.1)
+    # a 1D document whose nodes are not mirror pairs is refused on reading
+    doc = _doc(exp_basis)
+    doc["nodes"][0] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="rlimited pswf"):
+        P.eigenbasis_from_json(doc)
+    doc = _doc(exp_basis)
+    doc["weights"][-1] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="rlimited pswf"):
+        P.eigenbasis_from_json(doc)
+    # and so is a hand-built basis over such a rule
+    q = exp_basis.quadrature
+    skew = Quadrature1D(weights=q.weights, nodes=np.asarray(q.nodes) + 1e-3,
+                        band=q.band, symmetric=True, provenance={})
+    bad = P.EigenBasis(exp_basis.eigenvalues_mu, exp_basis.eigenvalues_lambda,
+                       exp_basis.eigenvectors, skew, exp_basis.band,
+                       exp_basis.kind)
+    with pytest.raises(ValueError, match="rlimited pswf"):
+        P.extend_prolate(P.ProlateEvaluator(bad), 0, 0.1)
 
 
 def test_eigensystem_input_guards(freq_rule):
@@ -316,6 +396,11 @@ def test_eigenbasis_json_round_trip(exp_basis):
     legacy = P.eigenbasis_from_json(doc)
     assert np.iscomplexobj(legacy.eigenvectors)
     assert np.array_equal(legacy.eigenvectors, exp_basis.eigenvectors)
+    # and extend bit for bit like the real basis, even and odd modes alike
+    for n in range(6):
+        want = P.extend_prolate(P.ProlateEvaluator(exp_basis), n, t)
+        got = P.extend_prolate(P.ProlateEvaluator(legacy), n, t)
+        assert got.tobytes() == want.tobytes(), n
 
 
 def test_nd_eigenbasis_json_round_trip():
