@@ -172,26 +172,26 @@ def make_grid(lo, hi, counts) -> PointSet:
 
 
 def grid_axes(points: np.ndarray, tol: float = 1e-9):
-    """Recover per-axis coordinates of a tensor grid from its flat point list.
-
-    Raises if the points are not a full tensor product (row-major order not
-    required; membership is what is checked).
+    """Recover a tensor grid from its flat point list: (axes, slot), the
+    sorted coordinates of each axis and each point's row-major index into
+    the grid.  Row order is free, but every slot must hold exactly one
+    point; a missing, extra or duplicated point raises ValueError.
     """
     pts = np.atleast_2d(points)
-    axes = []
-    for d in range(pts.shape[1]):
-        col = np.sort(np.unique(pts[:, d]))
-        # collapse float-fuzzy duplicates
-        keep = [col[0]]
-        for v in col[1:]:
-            if v - keep[-1] > tol * max(1.0, abs(v)):
-                keep.append(v)
-        axes.append(np.asarray(keep))
-    n_expect = int(np.prod([len(a) for a in axes]))
-    if n_expect != len(pts):
-        raise ValueError("points do not form a tensor grid "
-                         "(%d points vs %d grid slots)" % (len(pts), n_expect))
-    return axes
+    axes, idx = [], []
+    for col in pts.T:
+        order = np.argsort(col, kind="stable")
+        v = col[order]
+        # a gap above tol starts a new coordinate; smaller ones are fuzz
+        new = np.diff(v, prepend=-np.inf) > tol * np.maximum(1.0, np.abs(v))
+        axes.append(v[new])
+        idx.append((np.cumsum(new) - 1)[np.argsort(order)])
+    slot = np.ravel_multi_index(idx, [len(a) for a in axes])
+    filled = np.bincount(slot, minlength=int(np.prod([len(a) for a in axes])))
+    if not len(pts) or np.any(filled != 1):
+        raise ValueError("points do not form a tensor grid (%d points, %d "
+                         "empty slots)" % (len(pts), np.sum(filled == 0)))
+    return axes, slot
 
 
 def write_field_csv(fld: SampledField, path) -> None:

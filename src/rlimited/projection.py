@@ -290,37 +290,31 @@ def reconstruction_stability_constant(basis, eps0: float, eps_max: float,
 def _trapezoid_weights(ax: np.ndarray) -> np.ndarray:
     if len(ax) == 1:
         return np.ones(1)
-    w = np.empty(len(ax))
-    w[0] = 0.5 * (ax[1] - ax[0])
-    w[-1] = 0.5 * (ax[-1] - ax[-2])
-    w[1:-1] = 0.5 * (ax[2:] - ax[:-2])
-    return w
+    return 0.5 * np.r_[ax[1] - ax[0], ax[2:] - ax[:-2], ax[-1] - ax[-2]]
 
 
 def _grid_fhat(f: SampledField, xi: np.ndarray):
-    """Spectrum samples fhat(xi) = sum_g W_g f(x_g) e^{-i 2 pi xi.x_g}
-    by tensor-grid trapezoid over the sample grid.
-
-    Point order is free: each point's weight is the product of its per-axis
-    trapezoid weights, found by coordinate lookup."""
-    pts = f.points.points
-    axes = grid_axes(pts)
-    wg = np.ones(len(pts))
-    for d, ax in enumerate(axes):
-        aw = _trapezoid_weights(ax)
-        idx = np.clip(np.searchsorted(ax, pts[:, d]), 0, len(ax) - 1)
-        left = np.maximum(idx - 1, 0)
-        pick = np.where(np.abs(ax[left] - pts[:, d])
-                        < np.abs(ax[idx] - pts[:, d]), left, idx)
-        wg = wg * aw[pick]
-    wf = wg * np.asarray(f.values, dtype=complex)
+    """Spectrum samples fhat(xi) = sum_g W_g f(x_g) e^{-i 2 pi xi.x_g}, the
+    trapezoid rule over the sample grid; returns (fhat, axes).  The samples
+    (any row order) fill a grid array that is contracted one axis at a time
+    against W_d[j] e^{-i 2 pi xi_d x_d[j]}: d n N exponentials for N nodes
+    and n points per axis, not N G for G grid points, in node blocks that
+    keep temporaries under 4e6 elements."""
+    axes, slot = grid_axes(f.points.points)
+    grid = np.zeros((len(axes[0]), len(slot) // len(axes[0])), complex)
+    grid.flat[slot] = f.values
     out = np.empty(len(xi), dtype=complex)
-    step = max(1, int(4e6 // max(len(pts), 1)))
+    step = max(1, int(4e6 // max(grid.shape[1], *map(len, axes))))
     for i0 in range(0, len(xi), step):
         blk = xi[i0:i0 + step]
-        out[i0:i0 + step] = np.exp(-2j * np.pi * (pts @ blk.T)).T @ wf
-    support = [(float(ax[0]), float(ax[-1])) for ax in axes]
-    return out, support
+        acc = None
+        for d, ax in enumerate(axes):
+            e = _trapezoid_weights(ax) * np.exp(
+                -2j * np.pi * blk[:, d, None] * ax)
+            acc = e @ grid if acc is None else np.einsum(
+                "mj,mjr->mr", e, acc.reshape(len(blk), len(ax), -1))
+        out[i0:i0 + step] = acc[:, 0]
+    return out, axes
 
 
 def _coverage_check(kernel: QuadratureND, eval_pts: np.ndarray,
@@ -382,7 +376,8 @@ def rlimited_discrete_fourier(f: SampledField, kernel: QuadratureND, x,
     """Project grid samples onto the kernel's scaled exponentials:
     out(x) = sum_m w_m fhat(B k_m) e^{i 2 pi (B k_m).x}.
 
-    fhat comes from trapezoid integration over the tensor sample grid; the
+    fhat is the trapezoid rule over the sample grid, one axis at a time
+    (_grid_fhat: d n N exponentials for N nodes, n points per axis).  The
     error bound is |X| max|f| max|eps_K| from the kernel's scaled profile,
     provided the profile covers every evaluation-minus-support difference
     (refused otherwise).  Trapezoid discretization error is recorded but
@@ -390,7 +385,8 @@ def rlimited_discrete_fourier(f: SampledField, kernel: QuadratureND, x,
     """
     pts, lead = _as_points(x, kernel.nodes.shape[1])
     xi = kernel.scaled_nodes()
-    fhat, support = _grid_fhat(f, xi)
+    fhat, axes = _grid_fhat(f, xi)
+    support = [(float(ax[0]), float(ax[-1])) for ax in axes]
     if check_coverage:
         _coverage_check(kernel, pts, support)
     out = np.exp(2j * np.pi * (pts @ xi.T)) @ (kernel.weights * fhat)
@@ -402,7 +398,7 @@ def rlimited_discrete_fourier(f: SampledField, kernel: QuadratureND, x,
                              label="rlimited projection")
     prov = {"route": "discrete-fourier", "n_nodes": len(kernel.weights),
             "support": support, "fhat_rule": "trapezoid",
-            "grid_shape": [len(ax) for ax in grid_axes(f.points.points)],
+            "grid_shape": [len(ax) for ax in axes],
             "scalar_input": lead == ()}
     return ProjectionResult(field=res_field, error_bound=bound,
                             provenance=prov)

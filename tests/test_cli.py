@@ -9,7 +9,7 @@ import pytest
 from rlimited.cli import main
 from rlimited.kernels import k_ball
 from rlimited.moments import quadrature_from_json, quadrature_to_json
-from rlimited.numkit import SampledField, dumps_json, make_grid, \
+from rlimited.numkit import PointSet, SampledField, dumps_json, make_grid, \
     read_field_csv, write_field_csv
 from rlimited.projection import bandlimited_projection_oracle
 from rlimited.sincapprox import build_sinc_cosine_approx, frequency_rule
@@ -256,6 +256,24 @@ def test_project_field_row_count_mismatch_exit_2(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: field CSV header says 801 points, body has "
                           "802 rows") and err.count("\n") == 1
+    assert not (tmp_path / "o" / "projection.csv").exists()
+
+
+def test_project_field_with_a_duplicated_grid_point_exit_2(tmp_path, capsys):
+    # four points for four slots of a 2x2 grid, but (0,0) twice and (1,1)
+    # missing: the projection would silently integrate the wrong field
+    assert main(["quad", "--region", "triangle", "--M", "2",
+                 "--out", str(tmp_path / "k")]) == 0
+    pts = np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
+    fpath = tmp_path / "field.csv"
+    write_field_csv(SampledField(PointSet(pts), np.ones(4, dtype=complex)),
+                    str(fpath))
+    capsys.readouterr()
+    rc = main(["project", "--field", str(fpath), "--kernel",
+               str(tmp_path / "k" / "quadrature.json"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "do not form a tensor grid" in capsys.readouterr().err
     assert not (tmp_path / "o" / "projection.csv").exists()
 
 

@@ -158,16 +158,30 @@ def test_sampled_field_length_mismatch():
 def test_make_grid_and_axes():
     pts = make_grid([-1.0, 0.0], [1.0, 2.0], [5, 3])
     assert pts.points.shape == (15, 2)
-    axes = grid_axes(pts.points)
+    axes, slot = grid_axes(pts.points)
     assert np.allclose(axes[0], np.linspace(-1, 1, 5))
     assert np.allclose(axes[1], np.linspace(0, 2, 3))
+    assert np.array_equal(slot, np.arange(15))      # make_grid is row-major
     # permuting the rows must not matter: membership is what counts
     rng = np.random.default_rng(0)
     perm = rng.permutation(15)
-    axes2 = grid_axes(pts.points[perm])
+    axes2, slot2 = grid_axes(pts.points[perm])
     assert np.allclose(axes2[0], axes[0])
+    assert np.array_equal(slot2, perm)
     with pytest.raises(ValueError):
         grid_axes(pts.points[:-1])      # not a full tensor grid
+
+
+@pytest.mark.parametrize("pts", [
+    [(0, 0), (0, 1), (1, 0), (0, 0)],              # (0,0) twice, (1,1) empty
+    [(0, 0), (0, 1), (1, 0), (1, 0)],
+    [(0, 0, 0), (1, 1, 1), (0, 1, 0), (1, 0, 1),
+     (0, 0, 1), (1, 1, 0), (0, 1, 1), (0, 1, 1)],  # (1,0,0) empty
+], ids=["2d-first", "2d-last", "3d"])
+def test_grid_axes_refuses_a_duplicate_for_a_missing_slot(pts):
+    # the point count equals the slot count, but one slot is filled twice
+    with pytest.raises(ValueError, match="tensor grid"):
+        grid_axes(np.array(pts, dtype=float))
 
 
 def test_field_csv_round_trip(tmp_path):

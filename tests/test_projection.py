@@ -324,6 +324,55 @@ def test_rlimited_discrete_fourier_1d(freq_rule):
     assert res.provenance["grid_shape"] == [801]
 
 
+def dense_grid_fhat(f, xi):
+    """The dense route the per-axis contraction replaced: one exponential
+    per node and grid point, each point weighted by the product of its
+    per-axis trapezoid weights."""
+    pts = f.points.points
+    wg = np.ones(len(pts))
+    for d in range(pts.shape[1]):
+        ax = np.unique(pts[:, d])
+        wg = wg * P._trapezoid_weights(ax)[np.searchsorted(ax, pts[:, d])]
+    return np.exp(-2j * np.pi * (pts @ xi.T)).T @ (wg * f.values)
+
+
+def _fhat_case(case):
+    """(field, nodes) with the field's rows in a seeded random order."""
+    rng = np.random.default_rng(4)
+    if case.startswith("triangle"):
+        W, M = 0.3, int(case[len("triangle-M"):])
+        pts = make_grid([-W, -W], [W, W], [161, 161]).points
+        vals = (np.cos(np.pi * pts[:, 0] / (2 * W)) ** 2
+                * np.cos(np.pi * pts[:, 1] / (2 * W)) ** 2
+                * np.cos(2 * np.pi * (0.31 * pts[:, 0] - 0.47 * pts[:, 1])))
+        q = K.triangle_quadrature(TRI, M, M, target_box=((-W, W),) * 2,
+                                  profile_grid=0)
+        xi = P.expsum_kernel(q).scaled_nodes()
+    else:
+        if case == "3d":
+            pts = make_grid([-1.0, -0.5, 0.0], [1.0, 0.5, 2.0],
+                            [9, 7, 5]).points
+        else:       # a length-1 first axis, 250 nodes in three blocks
+            yz = make_grid([-0.4, 0.0], [0.4, 0.6], [200, 201]).points
+            pts = np.column_stack([np.full(len(yz), 0.25), yz])
+        vals = rng.normal(size=len(pts)) + 1j * rng.normal(size=len(pts))
+        xi = rng.normal(size=(60 if case == "3d" else 250, 3))
+    perm = rng.permutation(len(pts))
+    return SampledField(PointSet(pts[perm]),
+                        np.asarray(vals, dtype=complex)[perm]), xi
+
+
+@pytest.mark.parametrize("case", ["triangle-M3", "triangle-M4",
+                                  "triangle-M8", "3d", "length-1-axis"])
+def test_grid_fhat_matches_the_dense_route(case):
+    fld, xi = _fhat_case(case)
+    got, axes = P._grid_fhat(fld, xi)
+    want = dense_grid_fhat(fld, xi)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert [len(ax) for ax in axes] == [len(np.unique(c))
+                                        for c in fld.points.points.T]
+
+
 def test_rlimited_coverage_guards(freq_rule):
     f = lambda s: np.cos(np.pi * s / 2) ** 2
     grid = make_grid([-1.0], [1.0], [201])
