@@ -119,11 +119,8 @@ def cmd_quad(args) -> int:
              else tetra_quadrature(spec, M, M, M))
     elif args.region == "cone":
         q = cone_quadrature(ConeSpec(args.omega0, args.pmax, 2), M, M, M)
-    elif args.region == "ball":
+    else:  # ball; argparse's choices refuse any other region
         q = ball_quadrature(args.kmax, M, M, M)
-    else:
-        print("quad: unknown region %r" % args.region, file=sys.stderr)
-        return 2
     _write_json(os.path.join(out, "quadrature.json"), quadrature_nd_to_json(q))
     _write_rule_csv(os.path.join(out, "quadrature_nodes.csv"),
                     q.weights, q.nodes)
@@ -202,13 +199,9 @@ def cmd_kernel_eval(args) -> int:
         T, R = np.meshgrid(ax, rx, indexing="ij")
         pts = np.stack([T.ravel(), R.ravel()], axis=-1)
         vals = k_cone(spec, T.ravel(), R.ravel())
-    elif args.region == "ball":
+    else:  # ball; argparse's choices refuse any other region
         pts = _grid_points(args.extent, n, 1)
         vals = k_ball(args.kmax, np.abs(pts[:, 0]))
-    else:
-        print("kernel-eval: unknown region %r" % args.region,
-              file=sys.stderr)
-        return 2
     fld = SampledField(PointSet(pts), np.asarray(vals, dtype=complex),
                        label="%s kernel" % args.region)
     write_field_csv(fld, os.path.join(args.out, "kernel_field.csv"))

@@ -13,7 +13,8 @@ import itertools
 import math
 
 import numpy as np
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 from scipy.integrate import quad
 from scipy.special import j1 as bessel_j1
 
@@ -29,16 +30,19 @@ from .moments import Quadrature1D, chebyshev_rule_for_j0
 class Region:
     """Tagged Fourier-support description.
 
-    kind is one of interval, triangle, tetrahedron, cone, ball, union;
-    params holds the shape numbers; transform an optional matrix A mapping
-    the base region (kernel |det A| K(A^T x)); parts the members of a union.
-    symmetric marks R = -R.
+    kind is union or a row of _KINDS, whose parameter names the (name,
+    value) pairs in params must cover; transform an optional matrix A
+    mapping the base region (kernel |det A| K(A^T x)); parts the members
+    of a union, all of one dimension.  symmetric marks R = -R.
     """
     kind: str
     params: tuple = ()
     transform: tuple | None = None
     parts: tuple | None = None
     symmetric: bool = False
+
+    def __post_init__(self):
+        region_dim(self)  # refuses what the kind does not define
 
     def param(self, name: str) -> float:
         return dict(self.params)[name]
@@ -49,23 +53,18 @@ class Region:
         return np.asarray(self.transform, dtype=float)
 
 
-def _as_params(**kw) -> tuple:
-    return tuple((k, float(v) if not isinstance(v, int) else v)
-                 for k, v in kw.items())
-
-
 def interval_region() -> Region:
     """The symmetric unit interval [-1, 1] on the frequency axis."""
     return Region("interval", symmetric=True)
 
 
 def triangle_region(dp: float, s: float) -> Region:
-    return Region("triangle", _as_params(dp=float(dp), s=float(s)))
+    return Region("triangle", (("dp", float(dp)), ("s", float(s))))
 
 
 def tetrahedron_region(h: float, dp: float, s: float) -> Region:
-    return Region("tetrahedron",
-                  _as_params(h=float(h), dp=float(dp), s=float(s)))
+    return Region("tetrahedron", (("h", float(h)), ("dp", float(dp)),
+                                  ("s", float(s))))
 
 
 def cone_region(omega0: float, pmax: float, n: int = 2) -> Region:
@@ -75,7 +74,7 @@ def cone_region(omega0: float, pmax: float, n: int = 2) -> Region:
 
 
 def ball_region(k_max: float) -> Region:
-    return Region("ball", _as_params(k_max=float(k_max)), symmetric=True)
+    return Region("ball", (("k_max", float(k_max)),), symmetric=True)
 
 
 def transformed_region(base: Region, A) -> Region:
@@ -83,9 +82,7 @@ def transformed_region(base: Region, A) -> Region:
     prev = base.transform_matrix()
     if prev is not None:
         A = A @ prev
-    return Region(base.kind, base.params,
-                  transform=tuple(map(tuple, A.tolist())),
-                  parts=base.parts, symmetric=base.symmetric)
+    return replace(base, transform=tuple(map(tuple, A.tolist())))
 
 
 def union_region(parts) -> Region:
@@ -201,6 +198,9 @@ class QuadratureND:
         self.band = Bm
         if len(self.weights) != len(self.nodes):
             raise ValueError("weights/nodes length mismatch")
+        if d != region_dim(self.region):
+            raise ValueError("nodes have %d columns, but a %s region is %dD"
+                             % (d, self.region.kind, region_dim(self.region)))
         inside = region_contains(self.region, self.nodes, tol=1e-9)
         if not np.all(inside):
             raise ValueError("%d kernel nodes fall outside the region"
@@ -274,86 +274,88 @@ def region_from_json(d: dict) -> Region:
     return Region(kind=d["kind"],
                   params=tuple(d.get("params", {}).items()),
                   transform=tuple(map(tuple, d["transform"]))
-                  if "transform" in d else None,
+                  if d.get("transform") is not None else None,
                   parts=tuple(region_from_json(p) for p in d["parts"])
-                  if "parts" in d else None,
+                  if d.get("parts") is not None else None,
                   symmetric=bool(d.get("symmetric", False)))
+
+
+# One row per region kind: its parameter names, then functions of their
+# values giving its dimension, its membership mask at points k with absolute
+# slack tol on every face, and its closed-form kernel at offsets x.
+_Kind = namedtuple("_Kind", "params dim contains kernel")
+_KINDS = {
+    "interval": _Kind(
+        (), lambda: 1,
+        lambda k, tol: np.abs(k[:, 0]) <= 1.0 + tol,
+        lambda x: 2.0 * sinc(2.0 * np.pi * x[:, 0])),
+    "triangle": _Kind(
+        ("dp", "s"), lambda *_: 2,
+        lambda k, tol, dp, s: ((k[:, 0] >= -tol) & (k[:, 0] <= dp + tol)
+                               & (np.abs(k[:, 1]) <= s * k[:, 0] + tol)),
+        lambda x, dp, s: k_triangle(TriangleSpec(dp, s), *x.T)),
+    "tetrahedron": _Kind(
+        ("h", "dp", "s"), lambda *_: 3,
+        lambda k, tol, h, dp, s: (
+            (k[:, 2] >= -tol) & (k[:, 2] <= h + tol) & (k[:, 1] >= -tol)
+            & (k[:, 1] <= dp * k[:, 2] + tol)
+            & (np.abs(k[:, 0]) <= s * k[:, 1] + tol)),
+        lambda x, h, dp, s: k_tetra(TetraSpec(h, dp, s), *x.T)),
+    "cone": _Kind(
+        ("omega0", "pmax", "n"), lambda w0, p, n: 1 + int(n),
+        lambda k, tol, w0, p, n: (
+            (np.abs(k[:, 0]) <= w0 + tol)
+            & (np.linalg.norm(k[:, 1:], axis=1) <= p * np.abs(k[:, 0]) + tol)),
+        lambda x, w0, p, n: k_cone(ConeSpec(w0, p, int(n)), x[:, 0],
+                                   x[:, 1] if int(n) == 1 else x[:, 1:])),
+    "ball": _Kind(
+        ("k_max",), lambda *_: 3,
+        lambda k, tol, km: np.linalg.norm(k, axis=1) <= km + tol,
+        lambda x, km: k_ball(km, x)),
+}
+
+
+def _evaluate(r: Region, pts: np.ndarray, column: str, *tol):
+    """Column "contains" (slack tol) or "kernel" of r's row at the rows of
+    pts, through the one unwrap step: a transform A tests A^-1 k and scales
+    the kernel to |det A| K(A^T x); a union ors masks and sums kernels."""
+    A = r.transform_matrix()
+    if A is not None:
+        base = replace(r, transform=None)
+        if column == "contains":
+            return _evaluate(base, pts @ np.linalg.inv(A).T, column, *tol)
+        return abs(float(np.linalg.det(A))) * _evaluate(base, pts @ A, column)
+    dtype = complex if column == "kernel" else bool
+    if r.kind == "union":
+        return sum((_evaluate(part, pts, column, *tol) for part in r.parts),
+                   np.zeros(len(pts), dtype=dtype))  # on masks + is or
+    row = _KINDS[r.kind]
+    values = map(r.param, row.params)
+    return np.asarray(getattr(row, column)(pts, *tol, *values), dtype=dtype)
 
 
 def region_contains(r: Region, points, tol: float = 1e-9) -> np.ndarray:
     """Membership mask with absolute slack tol on every face constraint."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    A = r.transform_matrix()
-    if A is not None:
-        base = Region(r.kind, r.params, None, r.parts, r.symmetric)
-        return region_contains(base, pts @ np.linalg.inv(A).T, tol)
-    if r.kind == "union":
-        out = np.zeros(len(pts), dtype=bool)
-        for part in r.parts:
-            out |= region_contains(part, pts, tol)
-        return out
-    if r.kind == "interval":
-        return np.abs(pts[:, 0]) <= 1.0 + tol
-    if r.kind == "triangle":
-        dp, s = r.param("dp"), r.param("s")
-        kx, ky = pts[:, 0], pts[:, 1]
-        return (kx >= -tol) & (kx <= dp + tol) & (np.abs(ky) <= s * kx + tol)
-    if r.kind == "tetrahedron":
-        h, dp, s = r.param("h"), r.param("dp"), r.param("s")
-        kx, ky, kz = pts[:, 0], pts[:, 1], pts[:, 2]
-        return ((kz >= -tol) & (kz <= h + tol) & (ky >= -tol)
-                & (ky <= dp * kz + tol) & (np.abs(kx) <= s * ky + tol))
-    if r.kind == "cone":
-        w0, p = r.param("omega0"), r.param("pmax")
-        w = pts[:, 0]
-        rr = np.linalg.norm(pts[:, 1:], axis=1)
-        return (np.abs(w) <= w0 + tol) & (rr <= p * np.abs(w) + tol)
-    if r.kind == "ball":
-        km = r.param("k_max")
-        return np.linalg.norm(pts, axis=1) <= km + tol
-    raise ValueError("unknown region kind %r" % r.kind)
+    return _evaluate(r, pts, "contains", tol)
 
 
 def region_dim(r: Region) -> int:
+    """ValueError for a kind that is neither union nor a row of _KINDS, a
+    missing parameter, or a union without parts or of mixed dimension."""
     if r.kind == "union":
-        return region_dim(r.parts[0])
-    fixed = {"interval": 1, "triangle": 2, "tetrahedron": 3, "ball": 3}
-    if r.kind in fixed:
-        return fixed[r.kind]
-    if r.kind == "cone":
-        return 1 + int(r.param("n"))
-    raise ValueError("unknown region kind %r" % r.kind)
-
-
-def _kernel_flat(r: Region, pts: np.ndarray) -> np.ndarray:
-    A = r.transform_matrix()
-    if A is not None:
-        base = Region(r.kind, r.params, None, r.parts, r.symmetric)
-        det = abs(float(np.linalg.det(A)))
-        return det * _kernel_flat(base, pts @ A)
-    if r.kind == "union":
-        out = np.zeros(len(pts), dtype=complex)
-        for part in r.parts:
-            out = out + _kernel_flat(part, pts)
-        return out
-    if r.kind == "interval":
-        return np.asarray(2.0 * sinc(2.0 * np.pi * pts[:, 0]), dtype=complex)
-    if r.kind == "triangle":
-        spec = TriangleSpec(r.param("dp"), r.param("s"))
-        return np.asarray(k_triangle(spec, pts[:, 0], pts[:, 1]),
-                          dtype=complex)
-    if r.kind == "tetrahedron":
-        spec = TetraSpec(r.param("h"), r.param("dp"), r.param("s"))
-        return np.asarray(k_tetra(spec, pts[:, 0], pts[:, 1], pts[:, 2]),
-                          dtype=complex)
-    if r.kind == "cone":
-        spec = ConeSpec(r.param("omega0"), r.param("pmax"),
-                        int(r.param("n")))
-        sp = pts[:, 1] if spec.n == 1 else pts[:, 1:]
-        return np.asarray(k_cone(spec, pts[:, 0], sp), dtype=complex)
-    if r.kind == "ball":
-        return np.asarray(k_ball(r.param("k_max"), pts), dtype=complex)
-    raise ValueError("unknown region kind %r" % r.kind)
+        dims = sorted({region_dim(p) for p in r.parts or ()})
+        if len(dims) != 1:
+            raise ValueError("a union region needs at least one part, all "
+                             "of one dimension; got dimensions %s" % dims)
+        return dims[0]
+    row = _KINDS.get(r.kind)
+    if row is None:
+        raise ValueError("unknown region kind %r" % r.kind)
+    if not set(row.params) <= set(dict(r.params)):
+        raise ValueError("a %s region needs parameters %s, got %s"
+                         % (r.kind, row.params, r.params))
+    return row.dim(*map(r.param, row.params))
 
 
 def _as_points(x, d: int) -> tuple:
@@ -368,10 +370,10 @@ def _as_points(x, d: int) -> tuple:
 
 
 def region_kernel_exact(r: Region, x):
-    """K_R(x) = int_R e^{i 2 pi k.x} dk via the closed forms (adaptive
-    integration for the n=2 cone); K_R(0) is the region measure."""
+    """K_R(x) = int_R e^{i 2 pi k.x} dk via the closed forms (fixed
+    Gauss-Legendre panels for the n=2 cone); K_R(0) is the region measure."""
     flat, lead = _as_points(x, region_dim(r))
-    out = _kernel_flat(r, flat).reshape(lead)
+    out = _evaluate(r, flat, "kernel").reshape(lead)
     return complex(out) if lead == () else out
 
 

@@ -381,11 +381,13 @@ def rlimited_discrete_fourier(f: SampledField, kernel: QuadratureND, x,
     error bound is |X| max|f| max|eps_K| from the kernel's scaled profile,
     provided the profile covers every evaluation-minus-support difference
     (refused otherwise).  Trapezoid discretization error is recorded but
-    not bounded.
+    not bounded.  A grid with one point on some axis (|X| = 0) is refused.
     """
     pts, lead = _as_points(x, kernel.nodes.shape[1])
     xi = kernel.scaled_nodes()
     fhat, axes = _grid_fhat(f, xi)
+    if min(map(len, axes)) < 2:
+        raise ValueError("a sample grid needs at least 2 points on every axis")
     support = [(float(ax[0]), float(ax[-1])) for ax in axes]
     if check_coverage:
         _coverage_check(kernel, pts, support)

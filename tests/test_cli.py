@@ -277,6 +277,43 @@ def test_project_field_with_a_duplicated_grid_point_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o" / "projection.csv").exists()
 
 
+def _line_field(path):
+    """41 samples of a cos^2 bump along x = 0: a 1 x 41 grid in 2D."""
+    y = np.linspace(-0.5, 0.5, 41)
+    pts = np.stack([np.zeros_like(y), y], axis=-1)
+    write_field_csv(SampledField(PointSet(pts),
+                                 (np.cos(np.pi * y) ** 2).astype(complex)),
+                    str(path))
+
+
+def test_project_field_with_a_length_1_axis_exit_2(tmp_path, capsys):
+    # |X| is the product of the axis extents, so the bound read 0.0 while
+    # the projected values reached 0.133
+    assert main(["quad", "--region", "triangle", "--M", "3",
+                 "--out", str(tmp_path / "k")]) == 0
+    _line_field(tmp_path / "field.csv")
+    capsys.readouterr()
+    rc = main(["project", "--field", str(tmp_path / "field.csv"), "--kernel",
+               str(tmp_path / "k" / "quadrature.json"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "at least 2 points on every axis" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "projection.csv").exists()
+
+
+def test_project_kernel_union_without_parts_exit_2(tmp_path, capsys):
+    # the region parsed, and the first membership test iterated
+    # parts=None: a TypeError traceback and exit 1
+    kpath = tmp_path / "kernel.json"
+    kpath.write_text(json.dumps({"weights": [1.0], "nodes": [[0.5, 0.0]],
+                                 "region": {"kind": "union"}}))
+    _line_field(tmp_path / "field.csv")
+    rc = main(["project", "--field", str(tmp_path / "field.csv"),
+               "--kernel", str(kpath), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "union region needs at least one part" in capsys.readouterr().err
+
+
 def test_verify_single_suite(tmp_path, capsys):
     rc = main(["verify", "--suite", "moments", "--out", str(tmp_path)])
     assert rc == 0

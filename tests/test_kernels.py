@@ -625,3 +625,31 @@ def test_region_json_round_trip():
     assert K.region_from_json(K.region_to_json(cone)) == cone
     with pytest.raises(ValueError):
         K.region_contains(K.Region("pentagon"), np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: K.Region("pentagon"), "unknown region kind"),
+    (lambda: K.Region("triangle", (("dp", 0.8),)), "needs parameters"),
+    (lambda: K.Region("cone", (("omega0", 1.0), ("pmax", 1.0))),
+     "needs parameters"),
+    (lambda: K.Region("union"), "at least one part"),
+    (lambda: K.union_region([]), "at least one part"),
+    (lambda: K.region_from_json({"kind": "union"}), "at least one part"),
+    (lambda: K.union_region([K.triangle_region(0.8, 0.7),
+                             K.ball_region(1.0)]), r"dimensions \[2, 3\]"),
+], ids=["unknown-kind", "missing-param", "cone-without-n", "union-no-parts",
+        "union-empty", "union-json-no-parts", "union-mixed-dims"])
+def test_region_refuses_what_its_kind_does_not_define(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+@pytest.mark.parametrize("region, width", [
+    (K.triangle_region(0.8, 0.7), 3), (K.ball_region(1.0), 2),
+    (K.interval_region(), 2)], ids=["triangle-3", "ball-2", "interval-2"])
+def test_node_cloud_width_must_be_the_region_dimension(region, width):
+    # every node lies inside the region by the columns its test reads
+    nodes = np.zeros((2, width))
+    nodes[:, 0] = 0.5
+    with pytest.raises(ValueError, match="columns"):
+        K.QuadratureND(weights=np.ones(2), nodes=nodes, region=region)

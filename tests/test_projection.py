@@ -40,6 +40,7 @@ def test_region_kernel_at_zero_is_measure():
     for region, origin, measure in cases:
         got = P.region_kernel_exact(region, origin)
         assert abs(got - measure) < 1e-12 * max(1.0, measure), region.kind
+    assert {region.kind for region, _, _ in cases} == set(K._KINDS)
     A = np.array([[2.0, 0.0], [1.0, 1.5]])
     tr = K.transformed_region(K.triangle_region(0.8, 0.7), A)
     got = P.region_kernel_exact(tr, np.zeros(2))
@@ -50,11 +51,12 @@ def test_region_kernel_at_zero_is_measure():
 
 
 def test_region_dim():
-    assert P.region_dim(K.interval_region()) == 1
-    assert P.region_dim(K.triangle_region(1, 1)) == 2
-    assert P.region_dim(K.tetrahedron_region(1, 1, 1)) == 3
-    assert P.region_dim(K.cone_region(1, 1, 2)) == 3
-    assert P.region_dim(K.ball_region(1)) == 3
+    cases = [(K.interval_region(), 1), (K.triangle_region(1, 1), 2),
+             (K.tetrahedron_region(1, 1, 1), 3), (K.cone_region(1, 1, 1), 2),
+             (K.cone_region(1, 1, 2), 3), (K.ball_region(1), 3)]
+    for region, dim in cases:
+        assert P.region_dim(region) == dim, region
+    assert {region.kind for region, _ in cases} == set(K._KINDS)
     assert P.region_dim(K.union_region([K.ball_region(1)])) == 3
 
 
