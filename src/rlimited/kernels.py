@@ -15,6 +15,7 @@ import math
 import numpy as np
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from numbers import Real
 from scipy.integrate import quad
 from scipy.special import j1 as bessel_j1
 
@@ -271,8 +272,11 @@ def region_to_json(r: Region) -> dict:
 
 
 def region_from_json(d: dict) -> Region:
+    params = d.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError("region params must be an object: %r" % (params,))
     return Region(kind=d["kind"],
-                  params=tuple(d.get("params", {}).items()),
+                  params=tuple(params.items()),
                   transform=tuple(map(tuple, d["transform"]))
                   if d.get("transform") is not None else None,
                   parts=tuple(region_from_json(p) for p in d["parts"])
@@ -342,7 +346,8 @@ def region_contains(r: Region, points, tol: float = 1e-9) -> np.ndarray:
 
 def region_dim(r: Region) -> int:
     """ValueError for a kind that is neither union nor a row of _KINDS, a
-    missing parameter, or a union without parts or of mixed dimension."""
+    missing or non-finite parameter, or a union without parts or of mixed
+    dimension."""
     if r.kind == "union":
         dims = sorted({region_dim(p) for p in r.parts or ()})
         if len(dims) != 1:
@@ -355,7 +360,11 @@ def region_dim(r: Region) -> int:
     if not set(row.params) <= set(dict(r.params)):
         raise ValueError("a %s region needs parameters %s, got %s"
                          % (r.kind, row.params, r.params))
-    return row.dim(*map(r.param, row.params))
+    values = [r.param(name) for name in row.params]
+    if not all(isinstance(v, Real) and math.isfinite(v) for v in values):
+        raise ValueError("a %s region needs finite real numbers for %s, "
+                         "got %s" % (r.kind, row.params, r.params))
+    return row.dim(*values)
 
 
 def _as_points(x, d: int) -> tuple:

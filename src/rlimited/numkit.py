@@ -239,25 +239,44 @@ def read_field_csv(path, label: str = "") -> SampledField:
 # Artifacts are indent-2 JSON with shortest-repr floats (the text json.dump
 # writes) and %.17g CSV.  Both are formatted through %-templates, one call
 # per block of numbers, which gives the same bytes as per-element
-# formatting at a fraction of its interpreter cost.
+# formatting; each distinct magnitude is formatted once (_float_texts).
+
+
+def _float_texts(values, fmt):
+    """fmt % v ("%r" or "%.17g") for each float v of values, in order, as an
+    object array, formatting each distinct magnitude once.  Both formats
+    spell -x as "-" + the text of x; NaN keeps its sign bit in the dedupe
+    key, since it is spelled "nan" either way."""
+    key = np.array(values, dtype=float).reshape(-1).view(np.uint64)
+    neg = key ^ (1 << 63) <= 0x7FF0000000000000  # sign bit set, not NaN
+    key[neg] ^= 1 << 63
+    mags, inv = np.unique(key, return_inverse=True)
+    texts = " ".join([fmt] * len(mags)) % tuple(mags.view(float).tolist())
+    texts = np.array(texts.split(" "), dtype=object)
+    # "-" + text, once per magnitude that occurs negative
+    flip = np.bincount(inv[neg], minlength=len(texts)) > 0
+    negated = np.empty_like(texts)
+    negated[flip] = "-" + texts[flip]
+    inv[neg] += len(texts)
+    return np.concatenate([texts, negated])[inv]
 
 
 def format_rows(cols) -> str:
     """CSV body lines for the columns (1-D arrays, or 2-D blocks of columns),
-    every value written with %.17g."""
+    every value written with %.17g, each distinct magnitude formatted once."""
     data = np.column_stack(cols)
-    row_fmt = ",".join(["%.17g"] * data.shape[1])
-    return ((row_fmt + "\n") * len(data)) % tuple(data.ravel().tolist())
+    row_fmt = ",".join(["%s"] * data.shape[1])
+    return ((row_fmt + "\n") * len(data)) % tuple(_float_texts(data, "%.17g"))
 
 
 def dumps_json(doc) -> str:
     """The text json.dump(doc, fh, indent=2) writes, once numpy arrays and
     scalars are read as Python values and complex numbers as [re, im].
 
-    A list of finite floats, or of equal-length rows of them, goes through
-    one %r template (float.__repr__, which json uses as well); other values
-    are spelled element by element the way json spells them.  Unsupported
-    types raise json's TypeError.
+    A list of finite floats, or of equal-length rows of them, is spelled
+    with float.__repr__ (which json uses as well), each distinct magnitude
+    formatted once; other values are spelled element by element the way
+    json spells them.  Unsupported types raise json's TypeError.
     """
     out = []
     _put_json(doc, 0, out)
@@ -332,21 +351,17 @@ def _put_json_list(lst, level, out) -> None:
         return
     nl0 = "\n" + "  " * level
     nl1 = nl0 + "  "
-    n = len(lst)
-    if _finite_floats(lst):
-        out.append(("[" + nl1 + ("%r," + nl1) * (n - 1) + "%r" + nl0 + "]")
-                   % tuple(lst))
-        return
+    flat, item = lst, "%s"
     m = len(lst[0]) if isinstance(lst[0], (list, tuple)) else 0
     if m and set(map(type, lst)) <= {list, tuple} \
             and set(map(len, lst)) == {m}:
+        nl2 = nl1 + "  "
         flat = list(chain.from_iterable(lst))
-        if _finite_floats(flat):
-            nl2 = nl1 + "  "
-            row = "[" + nl2 + ("%r," + nl2) * (m - 1) + "%r" + nl1 + "]"
-            out.append(("[" + nl1 + (row + "," + nl1) * (n - 1) + row + nl0
-                        + "]") % tuple(flat))
-            return
+        item = "[" + nl2 + ("%s," + nl2) * (m - 1) + "%s" + nl1 + "]"
+    if _finite_floats(flat):  # finite floats, or equal-length rows of them
+        block = "[" + nl1 + ("," + nl1).join([item] * len(lst)) + nl0 + "]"
+        out.append(block % tuple(_float_texts(flat, "%r")))
+        return
     sep = "[" + nl1
     for v in lst:
         out.append(sep)

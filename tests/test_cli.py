@@ -314,6 +314,28 @@ def test_project_kernel_union_without_parts_exit_2(tmp_path, capsys):
     assert "union region needs at least one part" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params, match", [
+    ([0.8, 0.7], "params must be an object"),
+    ({"dp": "a", "s": 0.7}, "needs finite real numbers")],
+    ids=["list", "string-value"])
+def test_project_kernel_with_malformed_params_exit_2(tmp_path, capsys,
+                                                     params, match):
+    # params as a list raised AttributeError in region_from_json, and a
+    # string value TypeError in the triangle membership test: exit 1
+    kpath = tmp_path / "kernel.json"
+    kpath.write_text(json.dumps({"weights": [1.0], "nodes": [[0.5, 0.0]],
+                                 "region": {"kind": "triangle",
+                                            "params": params}}))
+    _line_field(tmp_path / "field.csv")
+    capsys.readouterr()
+    rc = main(["project", "--field", str(tmp_path / "field.csv"),
+               "--kernel", str(kpath), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert match in err[0]
+
+
 def test_verify_single_suite(tmp_path, capsys):
     rc = main(["verify", "--suite", "moments", "--out", str(tmp_path)])
     assert rc == 0

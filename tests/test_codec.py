@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import tracemalloc
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -201,6 +203,87 @@ def test_field_csv_round_trip_is_bitwise(tmp_path):
     assert np.array_equal(bits(back.values.imag), bits(vals.imag))
 
 
+# ------------------------------------------------------------ repeated values
+# The codec formats each distinct magnitude once and reuses its text, so
+# hold it against the per-element writers on arrays that repeat a small
+# pool of magnitudes under random signs.
+
+# where repr switches between positional and exponent notation
+SWITCH = [1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05]
+EDGES = [0.0, SUB, 2.5e-310, 1.7976931348623157e308] + SWITCH
+
+
+def repeated(n, non_finite=False, seed=0):
+    """n floats from a pool of 40 random magnitudes plus EDGES (and nan,
+    inf when non_finite), each with a random sign; every pool value occurs
+    with both signs."""
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([
+        rng.standard_normal(40) * 10.0 ** rng.integers(-30, 30, 40), EDGES,
+        [math.nan, math.inf] if non_finite else []])
+    vals = rng.choice(pool, n - 2 * len(pool))
+    vals = np.where(rng.random(len(vals)) < 0.5, -vals, vals)
+    return np.concatenate([pool, -pool, vals])
+
+
+def first_difference(new, old):
+    """None for equal texts, else the first pair of lines that differ (a
+    short failure message where pytest would diff whole texts)."""
+    if new == old:
+        return None
+    pairs = zip_longest(new.splitlines(), old.splitlines())
+    return next((a, b) for a, b in pairs if a != b)
+
+
+def _complex(re, im):
+    # re + 1j * im would turn -0.0 real parts into 0.0
+    out = np.empty(len(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+@pytest.mark.parametrize("non_finite", [False, True],
+                         ids=["finite", "non-finite"])
+def test_format_rows_on_repeated_values(non_finite):
+    a, b, c = (repeated(12_000, non_finite, seed) for seed in (1, 2, 3))
+    z = _complex(b, c)
+    for cols in ([a], [np.stack([a, b], axis=-1), c, -a], [z.real, z.imag]):
+        assert first_difference(format_rows(cols), old_rows(cols)) is None
+
+
+@pytest.mark.parametrize("non_finite", [False, True],
+                         ids=["finite", "non-finite"])
+def test_dumps_json_on_repeated_values(non_finite):
+    a, b = (repeated(12_000, non_finite, seed) for seed in (4, 5))
+    doc = {"list": a.tolist(),
+           "rows": a.reshape(-1, 3).tolist(),
+           "row-tuples": [tuple(r) for r in b.reshape(-1, 4).tolist()],
+           "ndarray": b.reshape(-1, 2),
+           "complex": _complex(a, b),
+           "complex-2d": _complex(b, a).reshape(-1, 3)}
+    assert first_difference(dumps_json(doc), old_json(doc)) is None
+
+
+def test_format_rows_memory_on_the_triangle_field(tmp_path, monkeypatch):
+    # 161,604 values of the 201^2 kernel-eval field; a Python str or int
+    # per element would push the peak well past the bound
+    fields = []
+    monkeypatch.setattr(cli, "write_field_csv",
+                        lambda fld, path: fields.append(fld))
+    assert main(["kernel-eval", "--region", "triangle", "--grid", "201",
+                 "--out", str(tmp_path)]) == 0
+    fld, = fields
+    cols = [fld.points.points, fld.values.real, fld.values.imag]
+    assert sum(np.size(c) for c in cols) == 161_604
+    tracemalloc.start()
+    try:
+        format_rows(cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * 2**20, peak / 2**20
+
+
 # ------------------------------------------------------------ CLI artifacts
 
 def check_writers(monkeypatch) -> list:
@@ -268,6 +351,8 @@ CLI_JOBS = {
                             ["quadrature.json", "quadrature_nodes.csv"]),
     "quad-region": (["quad", "--region", "triangle", "--M", "3"],
                     ["quadrature.json", "quadrature_nodes.csv"]),
+    "quad-cascade-cone": (["quad", "--region", "cone", "--M", "3"],
+                          ["quadrature.json", "quadrature_nodes.csv"]),
     "quad-region-symmetric": (["quad", "--region", "tetra", "--symmetric",
                                "--M", "2"],
                               ["quadrature.json", "quadrature_nodes.csv"]),

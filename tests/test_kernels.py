@@ -637,8 +637,18 @@ def test_region_json_round_trip():
     (lambda: K.region_from_json({"kind": "union"}), "at least one part"),
     (lambda: K.union_region([K.triangle_region(0.8, 0.7),
                              K.ball_region(1.0)]), r"dimensions \[2, 3\]"),
+    (lambda: K.region_from_json({"kind": "triangle", "params": [0.8, 0.7]}),
+     "params must be an object"),
+    (lambda: K.region_from_json({"kind": "triangle",
+                                 "params": {"dp": "a", "s": 0.7}}),
+     "finite real numbers"),
+    (lambda: K.Region("ball", (("k_max", float("nan")),)),
+     "finite real numbers"),
+    (lambda: K.Region("cone", (("omega0", 1.0), ("pmax", None), ("n", 2))),
+     "finite real numbers"),
 ], ids=["unknown-kind", "missing-param", "cone-without-n", "union-no-parts",
-        "union-empty", "union-json-no-parts", "union-mixed-dims"])
+        "union-empty", "union-json-no-parts", "union-mixed-dims",
+        "json-params-list", "json-param-string", "param-nan", "param-none"])
 def test_region_refuses_what_its_kind_does_not_define(make, match):
     with pytest.raises(ValueError, match=match):
         make()
