@@ -26,7 +26,7 @@ __all__ = [
     "region_kernel_exact", "bandlimited_projection_oracle",
     "discrete_fourier_repr_1d", "discrete_repr_error_bound",
     "nyquist_delta_train_check", "sampling_interpolation_1d",
-    "sampling_interpolation_scaled", "reconstruction_stability_constant",
+    "reconstruction_stability_constant",
     "rlimited_discrete_fourier", "ra_sampling_interpolation",
     "patched_projection", "patched_sample_points",
     "needed_base_box", "measure_kernel_profile",
@@ -169,7 +169,7 @@ def nyquist_delta_train_check(f_k, M: int, K: int, B: float = 1.0) -> dict:
 
 
 # --------------------------------------------------------------------------
-# 1D sampling interpolation
+# sampling interpolation
 
 
 def _samples_at(f, sites: np.ndarray, what: str) -> np.ndarray:
@@ -187,83 +187,81 @@ def _samples_at(f, sites: np.ndarray, what: str) -> np.ndarray:
     return vals
 
 
-def _rescaled_vectors(basis, weights: np.ndarray, target: float):
-    """Columns scaled so sum_m a_m |phi(w_m)|^2 = target."""
-    vecs = np.asarray(basis.eigenvectors)
-    nrm2 = np.einsum("m,mn->n", weights, np.abs(vecs) ** 2)
-    return vecs * np.sqrt(target / nrm2)[None, :]
+_BLOCK = 2 ** 18  # kernel values per block of the interpolation sum
 
 
-def _frame_coefficients(v, w, gram, basis, target: float, mu_min: float,
-                        regularization: str) -> np.ndarray:
-    """R^(p) D_w v for the regularized inverse frame operator.
+def _interpolate(v, kernel: QuadratureND, args, basis, regularization: str,
+                 mu_min: float):
+    """The sampling reconstruction in base weights w, as (out, F):
 
-    "kernel" applies the Gram matrix gram() (built only on this route);
-    "spectral" applies sum_{mu_n >= mu_min} mu_n^{-1} phi_n phi_n^H with
-    phi_n scaled to sum_m w_m |phi_n|^2 = target.
+      out = sum_k |det B| K_R(args[..., k, :]) w_k F_k,
+
+    with F = R^(p) D_w v for the regularized inverse frame operator:
+
+      direct    F = v (unregularized completeness limit)
+      kernel    F = kappa_B D_w v, kappa_B[l,m] = |det B| K_R(B (k_l - k_m))
+      spectral  F = sum_{mu_n >= mu_min} mu_n^{-1} phi_n phi_n^H D_w v,
+                phi_n scaled to sum_m w_m |phi_n|^2 = 1; needs basis
+
+    Both sums evaluate the kernel in blocks of about _BLOCK values, so no
+    P x N kernel matrix is built whole.
     """
-    if regularization == "kernel":
-        return gram() @ (w * v)
-    if regularization != "spectral":
+    w = kernel.base_weights()
+    d = kernel.nodes.shape[1]
+
+    def ksum(args, c):
+        n = args.shape[-2]
+        flat = args.reshape(-1, n, d)
+        c = kernel.weights * c  # |det B| w c
+        out = np.empty(len(flat), dtype=complex)
+        step = max(1, _BLOCK // n)
+        for i in range(0, len(flat), step):
+            blk = flat[i:i + step]
+            out[i:i + step] = region_kernel_exact(
+                kernel.region, blk.reshape(-1, d)).reshape(len(blk), n) @ c
+        return out.reshape(args.shape[:-2])
+
+    if regularization == "direct":
+        F = v
+    elif regularization == "kernel":
+        nodes = kernel.nodes
+        F = ksum((nodes[:, None, :] - nodes[None, :, :]) @ kernel.band.T, v)
+    elif regularization == "spectral":
+        if basis is None:
+            raise ValueError("spectral regularization needs an eigenbasis")
+        vecs = np.asarray(basis.eigenvectors)
+        if len(vecs) != len(v):
+            raise ValueError("basis size does not match the samples")
+        phi = vecs / np.sqrt(w @ np.abs(vecs) ** 2)
+        mu = np.asarray(basis.eigenvalues_mu, dtype=float)
+        keep = mu >= mu_min
+        F = phi[:, keep] @ ((phi[:, keep].conj().T @ (w * v)) / mu[keep])
+    else:
         raise ValueError("unknown regularization %r" % regularization)
-    if basis is None:
-        raise ValueError("spectral regularization needs an eigenbasis")
-    if len(basis.eigenvectors) != len(v):
-        raise ValueError("basis size does not match the samples")
-    phi = _rescaled_vectors(basis, w, target)
-    mu = np.asarray(basis.eigenvalues_mu, dtype=float)
-    keep = mu >= mu_min
-    proj = phi[:, keep].conj().T @ (w * v)
-    return phi[:, keep] @ (proj / mu[keep])
+    return ksum(args, F), F
 
 
 def sampling_interpolation_1d(f_at_nodes, q: Quadrature1D, B: float, t,
-                              basis=None, sample_kind: str = "function",
-                              regularization: str = "kernel",
+                              basis=None, regularization: str = "kernel",
                               mu_min: float = _MU_MIN):
-    """Band-limited interpolation through weighted node samples.
+    """Band-limited interpolation through weighted node samples, the
+    interval case of the region route (_interpolate) with the kernel
+    expsum_kernel(q, band=B): base weights a / B for the band-B weights a,
+    and |det B| K_R(B (t - w)) = 2B sinc(2 pi B (t - w)), so
 
-    out(t) = sum_k a_k 2B sinc(2 pi B (t - w_k)) c_k with
-    c = R^(p) D_a v / B^2 for the regularized inverse frame operator:
+      out(t) = sum_k a_k 2 sinc(2 pi B (t - w_k)) F_k.
 
-      kernel    R^(1)[m,k] = 2B sinc(2 pi B (w_m - w_k)); no basis needed
-      spectral  R^(-1) = sum_{mu_n >= mu_min} mu_n^{-1} phi_n phi_n^H,
-                phi_n scaled to sum_m a_m |phi_n(w_m)|^2 = B; needs basis
-      direct    c = v / B (unregularized completeness limit)
-
-    sample_kind records whether v holds samples of f or of its projection
-    f_B; the algebra is identical, the interpretation is not.  At the
-    Nyquist uniform rule the kernel route collapses to plain sinc
-    interpolation of the samples.
+    "spectral" needs the kernel-system basis of the rule.  At the Nyquist
+    uniform rule every route collapses to plain sinc interpolation of the
+    samples.
     """
-    if sample_kind not in ("function", "projection"):
-        raise ValueError("sample_kind must be function or projection")
-    if not q.symmetric:
-        raise ValueError("interpolation needs a symmetric rule")
-    B = float(B)
-    om = np.asarray(q.nodes, dtype=float)
-    al = np.asarray(q.weights, dtype=float) * (B / float(q.band))
-    v = _samples_at(f_at_nodes, om[:, None], "rule nodes")
-    if regularization == "direct":
-        c = v / B
-    else:
-        c = _frame_coefficients(
-            v, al, lambda: (2.0 * B * sinc(
-                2.0 * np.pi * B * (om[:, None] - om[None, :]))).T,
-            basis, B, mu_min, regularization) / B ** 2
+    kernel = expsum_kernel(q, band=B)
+    om = kernel.nodes
+    v = _samples_at(f_at_nodes, om, "rule nodes")
     t = np.asarray(t, dtype=float)
-    kern = 2.0 * B * sinc(2.0 * np.pi * B * (t[..., None] - om))
-    out = kern @ (al * c)
+    out, _ = _interpolate(v, kernel, float(B) * (t[..., None, None] - om),
+                          basis, regularization, mu_min)
     return _scalar(out)
-
-
-def sampling_interpolation_scaled(f_at_nodes, q: Quadrature1D, B: float,
-                                  T: float, t, **kw):
-    """Support [-T, T] wrapper: g(u) = f(T u) is handled at band B T, and
-    f_B(t) = g_{BT}(t / T) exactly."""
-    t = np.asarray(t, dtype=float)
-    return sampling_interpolation_1d(f_at_nodes, q, B * float(T), t / T,
-                                     **kw)
 
 
 def reconstruction_stability_constant(basis, eps0: float, eps_max: float,
@@ -371,8 +369,8 @@ def measure_kernel_profile(kernel: QuadratureND, base_box,
                                        "error_profile": prof})
 
 
-def rlimited_discrete_fourier(f: SampledField, kernel: QuadratureND, x,
-                              check_coverage: bool = True) -> ProjectionResult:
+def rlimited_discrete_fourier(f: SampledField, kernel: QuadratureND,
+                              x) -> ProjectionResult:
     """Project grid samples onto the kernel's scaled exponentials:
     out(x) = sum_m w_m fhat(B k_m) e^{i 2 pi (B k_m).x}.
 
@@ -389,8 +387,7 @@ def rlimited_discrete_fourier(f: SampledField, kernel: QuadratureND, x,
     if min(map(len, axes)) < 2:
         raise ValueError("a sample grid needs at least 2 points on every axis")
     support = [(float(ax[0]), float(ax[-1])) for ax in axes]
-    if check_coverage:
-        _coverage_check(kernel, pts, support)
+    _coverage_check(kernel, pts, support)
     out = np.exp(2j * np.pi * (pts @ xi.T)) @ (kernel.weights * fhat)
     measure = float(np.prod([hi - lo for lo, hi in support]))
     fmax = float(np.max(np.abs(f.values)))
@@ -410,16 +407,6 @@ def rlimited_discrete_fourier(f: SampledField, kernel: QuadratureND, x,
 # transformed-region sampling reconstruction
 
 
-def _kappa_matrix(kernel: QuadratureND, diffs: np.ndarray) -> np.ndarray:
-    """kappa_B on a stack of base-coordinate differences: the exact region
-    kernel at B delta, scaled by |det B|."""
-    det = kernel.det_band()
-    shape = diffs.shape[:-1]
-    flat = diffs.reshape(-1, diffs.shape[-1]) @ kernel.band.T
-    K = region_kernel_exact(kernel.region, flat)
-    return det * np.asarray(K, dtype=complex).reshape(shape)
-
-
 def ra_sampling_interpolation(f_at_transformed_nodes, kernel: QuadratureND,
                               A, x, basis=None,
                               regularization: str = "kernel",
@@ -427,15 +414,12 @@ def ra_sampling_interpolation(f_at_transformed_nodes, kernel: QuadratureND,
     """Reconstruct the R_A-limited projection from samples at A k_m.
 
     With B = A^T A, g(x) = f(A x) is R_B-limited and the symmetric-band
-    reconstruction applies:
+    reconstruction applies (_interpolate, base weights w):
 
-      out(x) = sum_k w_k |det B| K_R(A^T (x - A k_k)) F_k,
-      F = R^(p) D_w v,  R^(1)[k,m] = |det B| K_R(B (k_k - k_m)),
+      out(x) = sum_k w_k |det B| K_R(A^T (x - A k_k)) F_k.
 
-    with base weights w.  "spectral" swaps R^(1) for the truncated
-    eigen-expansion (Mercer-normalized vectors, sum_m w_m |phi|^2 = 1);
-    "direct" uses F = v.  A = identity reduces to the plain symmetric-band
-    case; on the interval region the pipeline collapses to the 1D routine.
+    A = identity reduces to the plain symmetric-band case; on the interval
+    region this is sampling_interpolation_1d.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     d = kernel.nodes.shape[1]
@@ -447,24 +431,12 @@ def ra_sampling_interpolation(f_at_transformed_nodes, kernel: QuadratureND,
     if not np.allclose(B, kernel.band,
                        atol=1e-9 * max(1.0, float(np.abs(B).max()))):
         raise ValueError("kernel band does not equal A^T A")
-    nodes = kernel.nodes
-    sites = nodes @ A.T
+    sites = kernel.nodes @ A.T
     v = _samples_at(f_at_transformed_nodes, sites, "transformed nodes")
-    w = kernel.base_weights()
-    if regularization == "direct":
-        F = v
-    else:
-        F = _frame_coefficients(
-            v, w, lambda: _kappa_matrix(
-                kernel, nodes[:, None, :] - nodes[None, :, :]),
-            basis, 1.0, mu_min, regularization)
     pts, lead = _as_points(x, d)
-    diffs = (pts[:, None, :] - sites[None, :, :]) @ A
-    K = region_kernel_exact(kernel.region,
-                            diffs.reshape(-1, d)).reshape(len(pts),
-                                                          len(nodes))
-    det = kernel.det_band()
-    out = (det * K) @ (w * F)
+    out, F = _interpolate(v, kernel, (pts[:, None, :] - sites) @ A, basis,
+                          regularization, mu_min)
+    w = kernel.base_weights()
     eps = kernel.scaled_error_max()
     bound = float(eps * np.sum(np.abs(w * F))) if math.isfinite(eps) \
         else math.inf
@@ -472,7 +444,7 @@ def ra_sampling_interpolation(f_at_transformed_nodes, kernel: QuadratureND,
                              values=np.asarray(out, dtype=complex),
                              label="ra sampling interpolation")
     prov = {"route": "ra-sampling", "regularization": regularization,
-            "n_nodes": len(nodes), "transform": A.tolist(),
+            "n_nodes": len(sites), "transform": A.tolist(),
             "mu_min": mu_min, "scalar_input": lead == (),
             "bound_note": "first-order kernel-surrogate term"}
     return ProjectionResult(field=res_field, error_bound=bound,

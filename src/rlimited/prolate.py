@@ -206,30 +206,24 @@ def pswf_kernel_eigensystem(q: Quadrature1D, B: float) -> EigenBasis:
 
 @dataclass
 class ProlateEvaluator:
-    """Pairs a basis with the extension formula used off the nodes."""
+    """Holds the basis that extend_prolate extends; the basis kind picks
+    the extension formula."""
     basis: EigenBasis
-    mode: str = ""  # "exp_extension" or "kernel_extension"
-
-    def __post_init__(self):
-        if not self.mode:
-            self.mode = ("exp_extension" if self.basis.kind == "exp_system"
-                         else "kernel_extension")
-        if self.mode not in ("exp_extension", "kernel_extension"):
-            raise ValueError("unknown extension mode %r" % self.mode)
 
 
 def extend_prolate(ev: ProlateEvaluator, n: int, t, mu_min: float = 1e-8):
     """Continuous-argument phi_n(t); exact at the quadrature nodes.
 
-    exp_extension: (1/(B lambda_n)) sum_m a_m e^{i 2 pi B w_m t} phi_n(w_m),
-    summed over the half-rule p > 0 of the mirror rule: an even phi_n gives
+    The basis kind picks the formula.  exp_system:
+    (1/(B lambda_n)) sum_m a_m e^{i 2 pi B w_m t} phi_n(w_m), summed over
+    the half-rule p > 0 of the mirror rule: an even phi_n gives
     (1/(B lambda_n)) [sum_p 2 a_p phi_n(p) cos(2 pi B t p) + a_0 phi_n(0)],
     the a_0 term only when a node sits at 0, and an odd one
     (i/(B lambda_n)) sum_p 2 a_p phi_n(p) sin(2 pi B t p).  So the exp route
     needs a parity basis: a real phi_n that is exactly even or odd on a
     mirror rule, as the eigensystems here build; anything else raises
     ValueError.
-    kernel_extension: (1/(B mu_n)) sum_m a_m 2B sinc(2 pi B (t-w_m)) phi_n(w_m)
+    kernel_system: (1/(B mu_n)) sum_m a_m 2B sinc(2 pi B (t-w_m)) phi_n(w_m)
 
     Error amplification goes as 1/mu_n, so eigenpairs below mu_min are
     refused rather than silently extended.  Both routes return complex
@@ -239,6 +233,8 @@ def extend_prolate(ev: ProlateEvaluator, n: int, t, mu_min: float = 1e-8):
     if not isinstance(b.quadrature, Quadrature1D):
         raise ValueError("extension formulas need a 1D basis, not a "
                          "node-cloud (ND) one")
+    if b.kind not in ("exp_system", "kernel_system"):
+        raise ValueError("unknown basis kind %r" % (b.kind,))
     if not 0 <= n < len(b):
         raise IndexError("eigenpair index %d out of range" % n)
     mu = float(b.eigenvalues_mu[n])
@@ -248,7 +244,7 @@ def extend_prolate(ev: ProlateEvaluator, n: int, t, mu_min: float = 1e-8):
     B = float(b.band)
     phi = b.eigenvectors[:, n]
     t = np.asarray(t, dtype=float)
-    if ev.mode == "exp_extension":
+    if b.kind == "exp_system":
         lam = complex(b.eigenvalues_lambda[n])
         if abs(lam) == 0:
             raise ValueError("lambda_%d = 0, extension undefined" % n)

@@ -1,5 +1,6 @@
 """Projection routes: representations, interpolation, region pipelines."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from rlimited import kernels as K
 from rlimited import projection as P
 from rlimited import prolate as PR
-from rlimited.moments import uniform_rule
+from rlimited.moments import gauss_legendre_01, symmetrize, uniform_rule
 from rlimited.numkit import SampledField, PointSet, make_grid, sinc
 from rlimited.sincapprox import build_sinc_cosine_approx, frequency_rule
 
@@ -147,17 +148,95 @@ def test_interpolation_routes_collapse_at_resolving_band():
     assert np.max(np.abs(out_d - plain)) < 1e-13
 
 
+def dense_sinc_interpolation(v, q, B, t, basis=None,
+                             regularization="kernel", mu_min=1e-8):
+    """The dense 1D formula the interpolation engine replaced:
+    out(t) = sum_k a_k 2B sinc(2 pi B (t - w_k)) c_k with c = v / B
+    (direct), the sinc Gram matrix applied to a v over B^2 (kernel), or the
+    mu >= mu_min eigen-expansion with sum_m a_m |phi|^2 = B over B^2
+    (spectral), all built whole."""
+    om = np.asarray(q.nodes, dtype=float)
+    al = np.asarray(q.weights, dtype=float) * (B / float(q.band))
+    if regularization == "direct":
+        c = v / B
+    elif regularization == "kernel":
+        gram = 2.0 * B * sinc(2.0 * np.pi * B * (om[:, None] - om[None, :]))
+        c = gram.T @ (al * v) / B ** 2
+    else:
+        vecs = np.asarray(basis.eigenvectors)
+        phi = vecs * np.sqrt(B / (al @ np.abs(vecs) ** 2))[None, :]
+        mu = np.asarray(basis.eigenvalues_mu)
+        keep = mu >= mu_min
+        c = phi[:, keep] @ ((phi[:, keep].conj().T @ (al * v)) / mu[keep]) \
+            / B ** 2
+    t = np.asarray(t, dtype=float)
+    kern = 2.0 * B * sinc(2.0 * np.pi * B * (t[..., None] - om))
+    return kern @ (al * c)
+
+
+@pytest.fixture(scope="module")
+def rule200():
+    return symmetrize(gauss_legendre_01(100), 5.0)
+
+
+@pytest.mark.parametrize("regularization,samples", [
+    ("kernel", "noise"), ("direct", "noise"), ("spectral", "train"),
+    ("spectral", "noise")])
+def test_interpolation_matches_the_dense_formula(rule200, regularization,
+                                                 samples):
+    # 4001 points x 200 nodes: the kernel sum runs in several blocks
+    rng = np.random.default_rng(8)
+    om = np.asarray(rule200.nodes)
+    if samples == "noise":
+        v = rng.normal(size=200) + 1j * rng.normal(size=200)
+    else:   # a band-5 sinc train, the band-limited input the route is for
+        tau, amp = rng.uniform(-0.8, 0.8, 12), rng.normal(size=12)
+        v = np.sinc(5.0 * (om[:, None] - tau)) @ amp + 0j
+    t = np.linspace(-1.0, 1.0, 4001)
+    basis = None
+    tol = 1e-14
+    if regularization == "spectral":
+        basis = PR.pswf_kernel_eigensystem(rule200, 5.0)
+        mu = basis.eigenvalues_mu
+        # both formulas round the projections onto the kept modes, and
+        # 1/mu amplifies that: on white noise they differ by up to
+        # eps / min mu (1.4e-10 to 1.0e-9 over seeds 0-8)
+        tol = 1e-9 if samples == "train" \
+            else np.finfo(float).eps / mu[mu >= 1e-8].min()
+    kw = dict(basis=basis, regularization=regularization, mu_min=1e-8)
+    got = P.sampling_interpolation_1d(v, rule200, 5.0, t, **kw)
+    want = dense_sinc_interpolation(v, rule200, 5.0, t, **kw)
+    err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+    assert err <= tol, err
+    # a scalar t gives a Python complex, a 2-D t keeps its shape
+    one = P.sampling_interpolation_1d(v, rule200, 5.0, 0.3, **kw)
+    assert type(one) is complex
+    assert abs(one - dense_sinc_interpolation(v, rule200, 5.0, 0.3, **kw)) \
+        <= tol * np.max(np.abs(want))
+    grid = P.sampling_interpolation_1d(v, rule200, 5.0, t[:4000].reshape(
+        80, 50), **kw)
+    assert grid.shape == (80, 50)
+    assert np.array_equal(grid.ravel(), P.sampling_interpolation_1d(
+        v, rule200, 5.0, t[:4000], **kw))
+
+
+def test_interpolation_memory_on_4001_points(rule200):
+    # the dense route held the 4001 x 200 sinc matrix and its temporaries
+    # (37.4 MiB); the blocked kernel sum stays well below
+    v = np.random.default_rng(8).normal(size=200) + 0j
+    t = np.linspace(-1.0, 1.0, 4001)
+    tracemalloc.start()
+    try:
+        P.sampling_interpolation_1d(v, rule200, 5.0, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * 2 ** 20, peak / 2 ** 20
+
+
 def test_scaled_wrapper_identities(freq_rule):
-    rng = np.random.default_rng(7)
-    v = rng.normal(size=len(freq_rule.nodes)) + 0j
     T = 2.5
-    t = np.linspace(-2, 2, 5)
-    w1 = P.sampling_interpolation_scaled(v, freq_rule, B, T, t,
-                                         regularization="kernel")
-    w2 = P.sampling_interpolation_1d(v, freq_rule, B * T, t / T,
-                                     regularization="kernel")
-    assert np.array_equal(w1, w2)
-    # the support scaling it encodes: f_B(t) = g_{BT}(t/T) for g(u) = f(Tu)
+    # support scaling: f_B(t) = g_{BT}(t/T) for g(u) = f(Tu)
     f = lambda s: np.exp(-s * s) * np.cos(1.7 * s)
     g = lambda u: f(T * u)
     for tt in (0.3, -1.1):
@@ -168,9 +247,6 @@ def test_scaled_wrapper_identities(freq_rule):
 
 def test_interpolation_input_guards(freq_rule):
     v = np.zeros(len(freq_rule.nodes), dtype=complex)
-    with pytest.raises(ValueError):
-        P.sampling_interpolation_1d(v, freq_rule, B, 0.0,
-                                    sample_kind="derivative")
     with pytest.raises(ValueError):
         P.sampling_interpolation_1d(v, freq_rule, B, 0.0,
                                     regularization="tikhonov")

@@ -91,12 +91,30 @@ def test_extension_guards(exp_basis, freq_rule):
     # the deep tail sits far below any sensible regularization floor
     with pytest.raises(ValueError):
         P.extend_prolate(ev, len(exp_basis) - 1, 0.0, mu_min=1e-8)
-    with pytest.raises(ValueError):
-        P.ProlateEvaluator(exp_basis, mode="midpoint")
     # the extension formulas are 1D; an ND (node-cloud) basis is refused
     nd = P.rslepian_exp_eigensystem(expsum_kernel(freq_rule))
     with pytest.raises(ValueError):
         P.extend_prolate(P.ProlateEvaluator(nd), 0, 0.0)
+
+
+@pytest.mark.parametrize("mode", ["exp_extension", "kernel_extension",
+                                  "midpoint"])
+def test_evaluator_takes_no_mode(mode):
+    # the route follows basis.kind: the exp formula on a kernel-system
+    # basis, whose lambda is a magnitude only, gave modes 1-3 off by a
+    # factor of +-i or -1
+    ker = P.pswf_kernel_eigensystem(symmetrize(gauss_legendre_01(12), 2.0),
+                                    2.0)
+    with pytest.raises(TypeError):
+        P.ProlateEvaluator(ker, mode=mode)
+
+
+def test_extension_refuses_an_unknown_basis_kind(exp_basis):
+    doc = json.loads(json.dumps(P.eigenbasis_to_json(exp_basis)))
+    doc["kind"] = "midpoint_system"
+    with pytest.raises(ValueError, match="basis kind"):
+        P.extend_prolate(P.ProlateEvaluator(P.eigenbasis_from_json(doc)), 0,
+                         0.1)
 
 
 def _exp_oracle(basis, n, t):
