@@ -271,17 +271,34 @@ def region_to_json(r: Region) -> dict:
     return d
 
 
+# the JSON type of each region key; null reads as absent for the optional
+# ones, transform, parts and symmetric
+_REGION_JSON = {"kind": (str, "a string"), "params": (dict, "an object"),
+                "transform": (list, "an array of arrays"),
+                "parts": (list, "an array of regions"),
+                "symmetric": (bool, "true or false")}
+
+
 def region_from_json(d: dict) -> Region:
-    params = d.get("params", {})
-    if not isinstance(params, dict):
-        raise ValueError("region params must be an object: %r" % (params,))
+    """The Region of region_to_json's layout; ValueError, naming the key,
+    for a region that is not an object or a key of the wrong JSON type."""
+    if not isinstance(d, dict):
+        raise ValueError("region must be an object: %r" % (d,))
+    d = {"params": {}, **d}
+    for key, (kind, name) in _REGION_JSON.items():
+        v = d.get(key)
+        if v is None and key not in ("kind", "params"):
+            continue
+        if not isinstance(v, kind) or key == "transform" and not all(
+                isinstance(row, list) for row in v):
+            raise ValueError("region %s must be %s: %r" % (key, name, v))
     return Region(kind=d["kind"],
-                  params=tuple(params.items()),
+                  params=tuple(d["params"].items()),
                   transform=tuple(map(tuple, d["transform"]))
                   if d.get("transform") is not None else None,
                   parts=tuple(region_from_json(p) for p in d["parts"])
                   if d.get("parts") is not None else None,
-                  symmetric=bool(d.get("symmetric", False)))
+                  symmetric=d.get("symmetric") is True)
 
 
 # One row per region kind: its parameter names, then functions of their

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 from dataclasses import dataclass, field
+from functools import lru_cache
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import hankel, svd, eig, lstsq
 
@@ -112,18 +113,29 @@ def gauss_legendre_01(M: int) -> Quadrature1D:
     """Positive half of the 2M-point Gauss-Legendre rule on [-1, 1].
 
     M nodes in (0, 1), weights summing to 1; reproduces
-    h_n = 1/(2n+1) = sum_m a_m w_m^(2n) exactly for n = 0..2M-1.
+    h_n = 1/(2n+1) = sum_m a_m w_m^(2n) exactly for n = 0..2M-1.  A fresh
+    rule each call, on read-only node and weight arrays built once per M.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
+    nodes, weights, residuals = _gauss_legendre_half(M)
+    return Quadrature1D(weights=weights, nodes=nodes, band=1.0,
+                        symmetric=False,
+                        provenance={"preset": "gauss-legendre", "M": M,
+                                    "node_kind": "even",
+                                    "residuals": list(residuals)})
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre_half(M: int) -> tuple:
+    """(nodes, weights, moment residuals) of gauss_legendre_01(M)."""
     x, w = leggauss(2 * M)
     pos = x > 0
-    q = Quadrature1D(weights=w[pos], nodes=x[pos], band=1.0, symmetric=False,
-                     provenance={"preset": "gauss-legendre", "M": M,
-                                 "node_kind": "even"})
-    rep = verify_moments(q, preset_moments("sinc_cos", 1.0, 2 * M - 1))
-    q.provenance["residuals"] = [float(r) for r in rep["residuals"]]
-    return q
+    nodes, weights = x[pos], w[pos]
+    nodes.flags.writeable = weights.flags.writeable = False
+    rep = verify_moments(Quadrature1D(weights, nodes, 1.0, False),
+                         preset_moments("sinc_cos", 1.0, 2 * M - 1))
+    return nodes, weights, tuple(float(r) for r in rep["residuals"])
 
 
 def chebyshev_rule_for_j0(M: int) -> Quadrature1D:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -227,8 +228,8 @@ def read_field_csv(path, label: str = "") -> SampledField:
         i = next(i for i, c in enumerate(commas) if c != dim + 1)
         raise ValueError("row %d has %d columns, expected %d"
                          % (i + 3, commas[i] + 1, dim + 2))
-    a = np.array(",".join(rows).split(",") if n else [], dtype=float)
-    a = a.reshape(n, dim + 2)
+    a = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if n \
+        else np.empty((0, dim + 2))
     vals = np.empty(n, dtype=complex)
     vals.real, vals.imag = a[:, dim], a[:, dim + 1]   # keeps -0.0 parts
     return SampledField(PointSet(np.ascontiguousarray(a[:, :dim])), vals,
@@ -237,33 +238,270 @@ def read_field_csv(path, label: str = "") -> SampledField:
 
 # ---------------------------------------------------------------- artifacts
 # Artifacts are indent-2 JSON with shortest-repr floats (the text json.dump
-# writes) and %.17g CSV.  Both are formatted through %-templates, one call
-# per block of numbers, which gives the same bytes as per-element
-# formatting; each distinct magnitude is formatted once (_float_texts).
+# writes) and %.17g CSV.  Both are filled into %s-templates, one call per
+# block of numbers, from _float_texts, which spells each distinct float64 bit
+# pattern once.  The spelling is a numpy kernel, not CPython's formatter, but
+# the bytes are the same: every text it writes is proven equal to CPython's
+# repr or %.17g, and every value it cannot prove so (zeros, non-finite
+# values, exact ties, Ryu's trailing-zero cases, ...) is formatted by
+# CPython itself, one at a time.
+#
+# Digits come from Ryu (Adams, "Ryu: fast float-to-string conversion", PLDI
+# 2018): x = mv 2^e2 with mv = 4 m2, and 125-bit powers of five give
+# vr = floor(x / 10^e10) and the floors vp, vm of the halfway points to x's
+# neighbours, exactly, from 64 x 64 -> 128-bit products built from 32-bit
+# limbs.  repr removes digits while vp and vm still differ (Ryu's common
+# case); %.17g rounds vr to 17 digits.  The digits are then laid out by
+# CPython's rules in 24-byte rows of three uint64 words.  The kernel runs on
+# blocks of _BLOCK distinct values, so its temporaries stay small.
+
+_M64 = np.uint64((1 << 64) - 1)   # a modulus and a mask that no mv meets
+_BLOCK = 1 << 13                   # values per kernel block
+_POW10 = np.array([10 ** k for k in range(20)], dtype=np.uint64)
+
+
+@lru_cache(maxsize=None)
+def _ryu_table():
+    """Ryu's constants per biased exponent b of a double (row 2047, of inf
+    and nan, is a dummy): the 128-bit multiplier (low, high words), the
+    shift s with vr = (2 m2 mul) >> (64 + s), e10, and five = 5^q, two =
+    2^q - 1 (else _M64), so that x / 10^e10 is an integer iff mv % five == 0
+    or mv & two == 0.  Built on first use, like the other cached tables, so
+    a process that spells no float list does not hold them."""
+    e2 = np.maximum(np.arange(2048), 1) - 1077
+    e2[-1] = e2[-2]
+    up = e2 >= 0
+    q = np.where(up, ((e2 * 78913) >> 18) - (e2 > 3),
+                 ((-e2 * 732923) >> 20) - (-e2 > 1))
+    i = np.where(up, q, -e2 - q)        # the power of five
+    p5 = [5 ** k for k in range(343)]
+    n5 = np.array([p.bit_length() for p in p5])
+    # per power k of five, with n its bits: 2^(n + 124) / 5^k rounded up
+    # (for e2 >= 0), and 5^k cut to 125 bits (for e2 < 0)
+    inv = [(1 << (n + 124)) // p + 1 for p, n in zip(p5, n5.tolist())]
+    fwd = [p << 125 >> n for p, n in zip(p5, n5.tolist())]
+    words = lambda ints: np.array([[m % 2**64, m >> 64] for m in ints],
+                                  dtype=np.uint64)
+    mul = np.where(up[:, None], words(inv)[i], words(fwd)[i])
+    shift = np.where(up, q - e2 + 124 + n5[i], q - n5[i] + 125) - 65
+    five = np.where(up & (q <= 23), np.array(p5[:24], dtype=np.uint64)
+                    [np.minimum(q, 23)], _M64)
+    two = np.where(~up & (q < 64), (1 << np.minimum(q, 63).astype(np.uint64))
+                   - np.uint64(1), _M64)
+    return tuple(map(_read_only, (mul[:, 0].copy(), mul[:, 1].copy(),
+                                  shift.astype(np.uint64),
+                                  np.where(up, q, q + e2), five, two)))
+
+
+@lru_cache(maxsize=None)
+def _digits4():
+    """0..9999 as four ASCII digits in the low bytes of a little-endian
+    uint64."""
+    k = np.arange(10000, dtype=np.uint64)
+    return _read_only(sum((k // 10**(3 - j) % 10 + 0x30) << 8 * j
+                          for j in range(4)))
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+# per word w of a 24-byte row, indexed by a byte position k: the mask of
+# the bytes below k, and "." at k
+_BELOW = np.array([[(1 << 8 * min(max(k - 8 * w, 0), 8)) - 1
+                    for k in range(28)] for w in range(3)], dtype=np.uint64)
+_DOT = np.array([[0x2E << 8 * (k - 8 * w) if k // 8 == w else 0
+                  for k in range(27)] for w in range(3)], dtype=np.uint64)
+# "e-324" .. "e+308" as little-endian bytes, indexed by exponent + 324
+_EXPONENT = np.array([int.from_bytes(b"e%+03d" % e, "little")
+                      for e in range(-324, 309)], dtype=np.uint64)
+
+
+def _mul128(a0, a1, b):
+    """(low, high) 64-bit words of a * b, a = a1 2^32 + a0 in 32-bit limbs."""
+    b0, b1 = b & 0xFFFFFFFF, b >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & 0xFFFFFFFF) + (p10 & 0xFFFFFFFF)
+    return ((mid << 32) | (p00 & 0xFFFFFFFF),
+            a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32))
+
+
+def _spell(bits, short):
+    """fmt % x ("%r" if short, else "%.17g") for the doubles x with these
+    bit patterns, as an object array: the kernel's text where _decimal
+    certifies the digits, CPython's elsewhere."""
+    digits, n, decpt, ok = _decimal(bits, short)
+    texts = np.empty(len(bits), dtype=object)
+    texts[ok] = _lay_out(digits[ok], n[ok], decpt[ok], bits[ok] >> 63 != 0,
+                         short)
+    fmt = "%r" if short else "%.17g"
+    slow = ~ok
+    texts[slow] = [fmt % x for x in bits[slow].view(float).tolist()]
+    return texts
+
+
+def _decimal(bits, short):
+    """(digits, n, decpt, ok) for the doubles x with these bit patterns: the
+    n significant digits of repr(x) (short) or of x to 17 digits, left-
+    aligned in a 17-digit uint64, and the decimal point's place, so that
+    |x| = 0.d1...dn 10^decpt.  ok is False where the digits are not proven:
+    zero, inf and nan, Ryu's trailing-zero cases, a power of two in repr, a
+    17-digit exact tie, or too few digits in vr for 17."""
+    b = ((bits >> 52) & 0x7FF).astype(np.intp)
+    frac = bits & 0xFFFFFFFFFFFFF
+    m2 = frac | (b != 0).astype(np.uint64) << 52
+    mv = m2 << 2
+    mul_lo_of, mul_hi_of, shift_of, e10_of, five_of, two_of = _ryu_table()
+    mul_lo, mul_hi, s = mul_lo_of[b], mul_hi_of[b], shift_of[b]
+    a0, a1 = (m2 << 1) & 0xFFFFFFFF, m2 >> 31
+    lo, t = _mul128(a0, a1, mul_lo)
+    mid, hi = _mul128(a0, a1, mul_hi)
+    mid += t
+    hi += mid < t
+    vr = (hi << (64 - s)) | (mid >> s)
+    five = five_of[b]
+    r5 = mv % five
+    exact = (r5 == 0) | (mv & two_of[b] == 0)   # vr = x / 10^e10
+    if short:
+        # vp, vm: (2 m2 +- 1) mul at the same shift.  vm's mm = mv - 2 is
+        # the lower halfway point unless the significand is a power of two
+        # above the subnormals; those go to CPython
+        lo2 = lo + mul_lo
+        mid2 = mid + mul_hi + (lo2 < lo)
+        vp = ((hi + (mid2 < mid)) << (64 - s)) | (mid2 >> s)
+        lo3 = lo - mul_lo
+        mid3 = mid - mul_hi - (lo3 > lo)
+        vm = ((hi - (mid3 > mid)) << (64 - s)) | (mid3 >> s)
+        even = (m2 & 1) == 0
+        vp -= ~even & (r5 == five - 2)   # an excluded upper bound
+        ok = ~exact & ~(even & (r5 == 2)) & ((frac != 0) | (b <= 1))
+        # Ryu drops digits while vp // 10 > vm // 10: that is, the largest
+        # k with vp % 10^k < vp - vm, which is D - 1 for the D digits of
+        # vp - vm, or D and the zeros of vp above them
+        w = vp - vm
+        digs = np.minimum(np.searchsorted(_POW10, w, side="right"), 19)
+        scale = _POW10[digs]
+        top = vp // scale
+        hit = vp - top * scale < w
+        removed = np.minimum(digs - 1 + hit * (1 + _trailing_zeros(top)), 19)
+        scale = _POW10[removed]
+        digits = vr // scale
+        rest = vr - digits * scale
+        digits += (digits == vm // scale) | (rest >= scale - rest)
+        ok &= digits % 10 != 0
+        n = np.searchsorted(_POW10, digits, side="right")
+        decpt = e10_of[b] + removed + n
+        digits *= _POW10[17 - n]
+    else:
+        # 17 digits of vr, correctly rounded; an exact tie is left to CPython
+        k = np.searchsorted(_POW10, vr, side="right") - 17
+        ok = k >= 1
+        scale = _POW10[np.maximum(k, 0)]
+        digits = vr // scale
+        rest = vr - digits * scale
+        half = scale >> 1
+        ok &= ~(exact & (rest == half))
+        digits += rest >= half
+        carry = digits == _POW10[17]
+        digits[carry] = _POW10[16]
+        decpt = e10_of[b] + k + carry + 17
+        n = 17 - _trailing_zeros(digits)
+    return digits, n, decpt, ok & (b != 2047)
+
+
+def _trailing_zeros(x):
+    """The trailing decimal zeros of each uint64 in x (31 for a zero)."""
+    zeros = np.zeros(len(x), dtype=np.intp)
+    i = np.flatnonzero(x % 10 == 0)
+    x, z = x[i], zeros[i]
+    for k in (16, 8, 4, 2, 1):
+        q = x // 10**k
+        hit = q * 10**k == x
+        x = np.where(hit, q, x)
+        z += k * hit
+    zeros[i] = z
+    return zeros
+
+
+@lru_cache(maxsize=None)
+def _layout_table(short):
+    """How CPython lays out repr (short) or %.17g of 0.d1...dn 10^decpt,
+    for decpt clipped to -4..18 (every value beyond is in exponent
+    notation alike), n = 0..17 and the sign: rows of (the bits to shift the
+    "0000000" + 17 digits row down by, the mask that turns a leading "0"
+    into "-", the dot's byte, the end's byte, exponent notation or not).
+    Exponent notation when decpt < -3 or decpt > 16 (repr) or 17; else
+    zeros between the point and the digits, or after the digits up to the
+    point, and repr's ".0" on integers."""
+    decpt, n, neg = np.ix_(np.arange(-4, 19), np.arange(18), np.arange(2))
+    expo = (decpt < -3) | (decpt > (16 if short else 17))
+    small = ~expo & (decpt <= 0)
+    whole = ~expo & (decpt >= n)
+    lead = np.where(small, 1 - decpt, 0) + neg    # "-0.000" before the digits
+    # the dot's byte; 25 (beyond the row) for none
+    dot = np.where(expo | small, np.where(expo & (n == 1), 25, 1), decpt)
+    end = np.where(small, 1 - decpt + n + 1, np.where(expo, n + (n > 1), n + 1))
+    if short:
+        end = np.where(whole, decpt + 2, end)        # digits, zeros, ".0"
+    else:
+        dot, end = np.where(whole, 25, dot), np.where(whole, decpt, end)
+    rows = (56 - 8 * lead, 0x1D * neg, dot + neg, end + neg, expo)
+    return _read_only(np.stack([np.broadcast_to(r, (23, 18, 2)).reshape(-1)
+                                for r in rows]))
+
+
+def _lay_out(digits, n, decpt, neg, short):
+    """Texts of the numbers -+0.d1...dn x 10^decpt (minus where neg), with
+    the digits d left-aligned in 17-digit uint64 digits (d1 > 0), as CPython
+    lays them out (see _layout_table)."""
+    hi, lo = np.divmod(digits, 10**8)
+    top, hi = np.divmod(hi, 10**8)
+    d = [_digits4()[c] for c in np.divmod(hi, 10**4) + np.divmod(lo, 10**4)]
+    # "0000000" + the 17 digits, in three words
+    w = ((top | 0x30) << 56 | 0x30303030303030,
+         d[0] | d[1] << 32, d[2] | d[3] << 32)
+    row = (np.minimum(np.maximum(decpt, -4), 18) + 4) * 36 + n * 2 + neg
+    s, minus, dot, end, expo = _layout_table(short)[:, row]
+    s, minus = s.astype(np.uint64), minus.astype(np.uint64)
+    # the text from the sign on, then one byte up from the dot
+    e = [(w[0] >> s) | (w[1] << (64 - s)), (w[1] >> s) | (w[2] << (64 - s)),
+         w[2] >> s]
+    e[0] ^= minus
+    up = [e[0] << 8, (e[1] << 8) | (e[0] >> 56), (e[2] << 8) | (e[1] >> 56)]
+    out = np.empty((len(digits), 3), dtype=np.uint64)
+    for k in range(3):
+        below = _BELOW[k]
+        out[:, k] = ((e[k] & below[dot]) | (up[k] & ~below[dot + 1])
+                     | _DOT[k][dot]) & below[end]
+    rows = np.flatnonzero(expo)
+    if rows.size:
+        suffix = _EXPONENT[decpt[rows] + 323]
+        at = end[rows]
+        word, shift = rows * 3 + (at >> 3), (8 * (at & 7)).astype(np.uint64)
+        flat = out.reshape(-1)
+        flat[word] |= suffix << shift
+        spill = (at >> 3) < 2              # a suffix crosses into the next word
+        flat[word[spill] + 1] |= suffix[spill] >> (64 - shift[spill])
+    return out.view(np.uint8).astype(np.uint32).view("<U24").ravel()
 
 
 def _float_texts(values, fmt):
     """fmt % v ("%r" or "%.17g") for each float v of values, in order, as an
-    object array, formatting each distinct magnitude once.  Both formats
-    spell -x as "-" + the text of x; NaN keeps its sign bit in the dedupe
-    key, since it is spelled "nan" either way."""
+    object array, spelling each distinct bit pattern once."""
+    if fmt not in ("%r", "%.17g"):
+        raise ValueError("fmt must be '%%r' or '%%.17g', got %r" % (fmt,))
     key = np.array(values, dtype=float).reshape(-1).view(np.uint64)
-    neg = key ^ (1 << 63) <= 0x7FF0000000000000  # sign bit set, not NaN
-    key[neg] ^= 1 << 63
-    mags, inv = np.unique(key, return_inverse=True)
-    texts = " ".join([fmt] * len(mags)) % tuple(mags.view(float).tolist())
-    texts = np.array(texts.split(" "), dtype=object)
-    # "-" + text, once per magnitude that occurs negative
-    flip = np.bincount(inv[neg], minlength=len(texts)) > 0
-    negated = np.empty_like(texts)
-    negated[flip] = "-" + texts[flip]
-    inv[neg] += len(texts)
-    return np.concatenate([texts, negated])[inv]
+    keys, inv = np.unique(key, return_inverse=True)
+    texts = np.empty(len(keys), dtype=object)
+    for i in range(0, len(keys), _BLOCK):
+        texts[i:i + _BLOCK] = _spell(keys[i:i + _BLOCK], fmt == "%r")
+    return texts[inv]
 
 
 def format_rows(cols) -> str:
     """CSV body lines for the columns (1-D arrays, or 2-D blocks of columns),
-    every value written with %.17g, each distinct magnitude formatted once."""
+    every value written as %.17g writes it (see _float_texts)."""
     data = np.column_stack(cols)
     row_fmt = ",".join(["%s"] * data.shape[1])
     return ((row_fmt + "\n") * len(data)) % tuple(_float_texts(data, "%.17g"))
@@ -274,9 +512,10 @@ def dumps_json(doc) -> str:
     scalars are read as Python values and complex numbers as [re, im].
 
     A list of finite floats, or of equal-length rows of them, is spelled
-    with float.__repr__ (which json uses as well), each distinct magnitude
-    formatted once; other values are spelled element by element the way
-    json spells them.  Unsupported types raise json's TypeError.
+    as float.__repr__ spells it (which json uses as well), each distinct
+    value once (see _float_texts); other values are spelled element by
+    element the way json spells them.  Unsupported types raise json's
+    TypeError.
     """
     out = []
     _put_json(doc, 0, out)

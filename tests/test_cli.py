@@ -336,6 +336,34 @@ def test_project_kernel_with_malformed_params_exit_2(tmp_path, capsys,
     assert match in err[0]
 
 
+@pytest.mark.parametrize("region, match", [
+    ({"kind": "triangle", "params": {"dp": 0.8, "s": 0.7}, "transform": 5},
+     "region transform must be an array of arrays"),
+    ({"kind": "union", "parts": 5}, "region parts must be an array"),
+    ([{"kind": "triangle", "params": {"dp": 0.8, "s": 0.7}}],
+     "region must be an object"),
+    ({"kind": "triangle", "params": {"dp": 0.8, "s": 0.7},
+      "symmetric": "no"}, "region symmetric must be true or false")],
+    ids=["transform-int", "parts-int", "region-list", "symmetric-string"])
+def test_project_kernel_with_malformed_region_exit_2(tmp_path, capsys,
+                                                     region, match):
+    # transform and parts raised TypeError and a list region AttributeError,
+    # each a traceback with exit 1; "symmetric": "no" was read as true and
+    # the projection exited 0
+    kpath = tmp_path / "kernel.json"
+    kpath.write_text(json.dumps({"weights": [1.0], "nodes": [[0.5, 0.0]],
+                                 "region": region}))
+    _line_field(tmp_path / "field.csv")
+    capsys.readouterr()
+    rc = main(["project", "--field", str(tmp_path / "field.csv"),
+               "--kernel", str(kpath), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert match in err[0]
+    assert not (tmp_path / "o" / "projection.csv").exists()
+
+
 def test_verify_single_suite(tmp_path, capsys):
     rc = main(["verify", "--suite", "moments", "--out", str(tmp_path)])
     assert rc == 0

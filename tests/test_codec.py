@@ -11,7 +11,7 @@ from itertools import zip_longest
 import numpy as np
 import pytest
 
-from rlimited import cli
+from rlimited import cli, numkit
 from rlimited.cli import main
 from rlimited.kernels import TriangleSpec, quadrature_nd_to_json, \
     triangle_quadrature
@@ -203,10 +203,90 @@ def test_field_csv_round_trip_is_bitwise(tmp_path):
     assert np.array_equal(bits(back.values.imag), bits(vals.imag))
 
 
+def python_field(path):
+    """A field CSV parsed one token at a time by float(): (points, re, im)."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    dim, n = map(int, lines[1].split(","))
+    a = np.array([[float(t) for t in row.split(",")] for row in lines[2:]])
+    assert a.shape == (n, dim + 2)
+    return a[:, :dim], a[:, dim], a[:, dim + 1]
+
+
+def _tapered_field(path):
+    # the solve-project workload's project input: a cos^2-tapered wave on
+    # a 161^2 grid over [-0.3, 0.3]^2
+    g = np.linspace(-0.3, 0.3, 161)
+    G1, G2 = np.meshgrid(g, g, indexing="ij")
+    f = (np.cos(np.pi * G1 / 0.6) ** 2 * np.cos(np.pi * G2 / 0.6) ** 2
+         * np.cos(2 * np.pi * (0.31 * G1 - 0.47 * G2)))
+    pts = np.stack([G1.ravel(), G2.ravel()], axis=-1)
+    write_field_csv(SampledField(PointSet(pts), f.ravel()), str(path))
+
+
+def _projection(tmp_path):
+    _tapered_field(tmp_path / "field.csv")
+    kq = triangle_quadrature(TriangleSpec(0.8, 0.7), 3, 3,
+                             target_box=((-0.3, 0.3),) * 2, profile_grid=0)
+    (tmp_path / "kernel.json").write_text(dumps_json(quadrature_nd_to_json(kq)))
+    assert main(["project", "--field", str(tmp_path / "field.csv"),
+                 "--kernel", str(tmp_path / "kernel.json"), "--grid", "21",
+                 "--out", str(tmp_path)]) == 0
+    return tmp_path / "projection.csv"
+
+
+def _kernel_eval(*args):
+    def run(tmp_path):
+        assert main(["kernel-eval", "--region", *args,
+                     "--out", str(tmp_path)]) == 0
+        return tmp_path / "kernel_field.csv"
+    return run
+
+
+# the field CSVs the benchmark workloads and the CLI tests write
+FIELD_CSVS = {
+    "kernel-eval-triangle": _kernel_eval("triangle", "--extent", "0.02",
+                                         "--grid", "201"),
+    "kernel-eval-tetra": _kernel_eval("tetra", "--grid", "31"),
+    "kernel-eval-ball": _kernel_eval("ball", "--grid", "2001"),
+    "kernel-eval-ball-kmax": _kernel_eval("ball", "--kmax", "1.0", "--grid",
+                                          "11", "--extent", "0.9"),
+    "kernel-eval-cone": _kernel_eval("cone", "--grid", "15"),
+    "tapered-field": lambda tmp_path: (_tapered_field(tmp_path / "f.csv"),
+                                       tmp_path / "f.csv")[1],
+    "projection": _projection,
+}
+
+
+@pytest.mark.parametrize("make", FIELD_CSVS.values(), ids=FIELD_CSVS.keys())
+def test_read_field_csv_is_bitwise_on_written_fields(tmp_path, capsys, make):
+    path = make(tmp_path)
+    pts, re, im = python_field(path)
+    fld = read_field_csv(path)
+    bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
+    assert np.array_equal(bits(fld.points.points), bits(pts))
+    assert np.array_equal(bits(fld.values.real), bits(re))
+    assert np.array_equal(bits(fld.values.imag), bits(im))
+
+
+@pytest.mark.parametrize("token", ["abc", "", "1.5.5", "0x10"])
+def test_project_field_with_a_bad_token_exit_2(tmp_path, capsys, token):
+    path = tmp_path / "field.csv"
+    path.write_text("dim,n_points\n2,4\n0,0,1,0\n0,1,1,0\n1,0,%s,0\n"
+                    "1,1,1,0\n" % token)
+    kq = triangle_quadrature(TriangleSpec(0.8, 0.7), 3, 3, profile_grid=0)
+    (tmp_path / "kernel.json").write_text(dumps_json(quadrature_nd_to_json(kq)))
+    capsys.readouterr()
+    assert main(["project", "--field", str(path), "--kernel",
+                 str(tmp_path / "kernel.json"), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: could not convert"), err
+
+
 # ------------------------------------------------------------ repeated values
-# The codec formats each distinct magnitude once and reuses its text, so
-# hold it against the per-element writers on arrays that repeat a small
-# pool of magnitudes under random signs.
+# The codec spells each distinct value once and reuses its text, so hold
+# it against the per-element writers on arrays that repeat a small pool of
+# magnitudes under random signs.
 
 # where repr switches between positional and exponent notation
 SWITCH = [1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05]
@@ -262,6 +342,128 @@ def test_dumps_json_on_repeated_values(non_finite):
            "complex": _complex(a, b),
            "complex-2d": _complex(b, a).reshape(-1, 3)}
     assert first_difference(dumps_json(doc), old_json(doc)) is None
+
+
+# ------------------------------------------------------------ the float kernel
+# _float_texts spells floats with a numpy kernel and hands CPython only the
+# values the kernel cannot prove; every text must be CPython's own.
+
+FORMATS = ["%r", "%.17g"]
+
+
+def cpython_mismatches(values, fmt):
+    """The first (value, text, CPython's text) triples that differ."""
+    values = np.asarray(values, dtype=float)
+    got = numkit._float_texts(values, fmt).tolist()
+    return [(v, g, fmt % v) for v, g in zip(values.tolist(), got)
+            if g != fmt % v][:5]
+
+
+def certified(values, fmt):
+    """The kernel's own verdict per value: digits proven, no fallback."""
+    bits = np.asarray(values, dtype=float).view(np.uint64)
+    return numkit._decimal(bits, fmt == "%r")[3]
+
+
+def structured_corpus():
+    big = 1.7976931348623157e308
+    edges = np.array([1e15, 1e16, 1e17, 1e-4, 1e-5, 9999999999999998.0])
+    vals = np.concatenate([
+        [0.0, SUB, 2 * SUB, 3 * SUB, 1e-320, 2.5e-310, 2.0 ** -1022 - SUB,
+         2.0 ** -1022, big, np.nextafter(big, 0)],
+        [2.0 ** k for k in range(-1074, 1024)],
+        [10.0 ** k for k in range(-30, 31)],
+        [float(2 ** 53 + i) for i in range(-64, 65)],
+        edges, np.nextafter(edges, np.inf), np.nextafter(edges, 0)])
+    return np.concatenate([vals, -vals])
+
+
+def exact_ties(seed=0, per_exponent=20):
+    """Doubles x = m 2^-k, m odd, with m 5^k of 18 digits: x's exact
+    decimal expansion has 18 significant digits and ends in 5, so its 17
+    digits sit exactly at one half."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(3, 25):
+        lo, hi = -(-10 ** 17 // 5 ** k), 10 ** 18 // 5 ** k
+        for m in rng.integers(lo, hi - 1, per_exponent).tolist():
+            m |= 1
+            assert 10 ** 17 <= m * 5 ** k < 10 ** 18 and m < 2 ** 53
+            out.append(math.ldexp(m, -k))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_float_texts_on_random_bit_patterns(fmt):
+    bits = np.random.default_rng(17).integers(0, 2 ** 64, 200_000,
+                                               dtype=np.uint64)
+    assert cpython_mismatches(bits.view(float), fmt) == []
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_float_texts_on_the_structured_corpus(fmt):
+    nan_payload = np.array([0x7FF8000000000001, 0xFFF0000000000002],
+                           dtype=np.uint64).view(float)
+    vals = np.concatenate([structured_corpus(), nan_payload,
+                           [math.nan, -math.nan, math.inf, -math.inf]])
+    assert cpython_mismatches(vals, fmt) == []
+
+
+def test_exact_17_digit_ties_go_to_cpython():
+    ties = exact_ties()
+    assert len(ties) == 22 * 20
+    assert not certified(ties, "%.17g").any()
+    assert cpython_mismatches(np.concatenate([ties, -ties]), "%.17g") == []
+    # one ulp away there is no tie, and the kernel spells the value itself
+    near = np.nextafter(ties, np.inf)
+    assert certified(near, "%.17g").all()
+    assert cpython_mismatches(near, "%.17g") == []
+
+
+@pytest.mark.parametrize("fmt, values", [
+    ("%r", [1.0, 3.0, 0.5, 1e22, 2.0 ** -30, 2.0 ** 100, 123456789.0]),
+    ("%.17g", [0.0, SUB, 2.5e-310, 2.0 ** 54, 2.0 ** 56 + 16.0]),
+    ("%r", [0.0, math.nan, math.inf]),
+    ("%.17g", [-0.0, math.nan, -math.inf])],
+    ids=["repr-trailing-zeros", "17g-short-vr", "repr-non-finite",
+         "17g-non-finite"])
+def test_known_fallback_values_take_the_fallback(fmt, values):
+    assert not certified(values, fmt).any()
+    assert cpython_mismatches(values, fmt) == []
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_the_kernel_spells_most_values_itself(fmt):
+    # a kernel that sent everything to CPython would pass the tests above;
+    # below 2^52 a float of this mix is not an integer, and not a short
+    # binary fraction but by rare chance
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal(20_000) * 10.0 ** rng.integers(-20, 10, 20_000)
+    assert certified(vals, fmt).mean() > 0.99
+
+
+def test_float_texts_takes_two_formats():
+    with pytest.raises(ValueError):
+        numkit._float_texts([1.0], "%.16g")
+
+
+def test_dumps_json_memory_on_the_pswf_eigenbasis(tmp_path, monkeypatch):
+    # 162,001 floats, half of them distinct: the magnitude-deduplicating
+    # codec that CPython's formatter served peaked at 19.2 MiB, one Python
+    # str per distinct magnitude and its negation
+    docs = []
+    monkeypatch.setattr(cli, "_write_json", lambda path, doc: docs.append(doc))
+    assert main(["pswf", "--band", "5", "--M", "200", "--kind", "exp",
+                 "--out", str(tmp_path)]) == 0
+    doc, = docs
+    tracemalloc.start()
+    try:
+        text = dumps_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count(",") >= 160_000
+    assert peak <= 19.2 * 2**20, peak / 2**20
 
 
 def test_format_rows_memory_on_the_triangle_field(tmp_path, monkeypatch):

@@ -646,9 +646,26 @@ def test_region_json_round_trip():
      "finite real numbers"),
     (lambda: K.Region("cone", (("omega0", 1.0), ("pmax", None), ("n", 2))),
      "finite real numbers"),
+    (lambda: K.region_from_json([{"kind": "interval"}]),
+     "region must be an object"),
+    (lambda: K.region_from_json({"kind": ["interval"]}),
+     "region kind must be a string"),
+    (lambda: K.region_from_json({"kind": "interval", "transform": 5}),
+     "region transform must be an array of arrays"),
+    (lambda: K.region_from_json({"kind": "interval", "transform": [5]}),
+     "region transform must be an array of arrays"),
+    (lambda: K.region_from_json({"kind": "union", "parts": 5}),
+     "region parts must be an array"),
+    (lambda: K.region_from_json({"kind": "union", "parts": [5]}),
+     "region must be an object"),
+    (lambda: K.region_from_json({"kind": "interval", "symmetric": "no"}),
+     "region symmetric must be true or false"),
 ], ids=["unknown-kind", "missing-param", "cone-without-n", "union-no-parts",
         "union-empty", "union-json-no-parts", "union-mixed-dims",
-        "json-params-list", "json-param-string", "param-nan", "param-none"])
+        "json-params-list", "json-param-string", "param-nan", "param-none",
+        "json-region-list", "json-kind-list", "json-transform-int",
+        "json-transform-row-int", "json-parts-int", "json-part-int",
+        "json-symmetric-string"])
 def test_region_refuses_what_its_kind_does_not_define(make, match):
     with pytest.raises(ValueError, match=match):
         make()

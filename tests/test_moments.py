@@ -26,6 +26,25 @@ def test_gauss_legendre_01_contract():
         assert worst < 1e-13, (M, worst)
 
 
+def test_gauss_legendre_01_is_a_fresh_rule_on_cached_arrays():
+    # the rule is built once per M; each call gets its own Quadrature1D,
+    # since callers set band (build_sinc_cosine_approx) or edit provenance
+    first = gauss_legendre_01(6)
+    first.band = 3.0
+    first.provenance["residuals"].append(1.0)
+    again = gauss_legendre_01(6)
+    assert again is not first and again.band == 1.0
+    assert len(again.provenance["residuals"]) == 12
+    assert again.nodes is first.nodes and again.weights is first.weights
+    for a in (again.nodes, again.weights):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+    x, w = np.polynomial.legendre.leggauss(12)
+    assert np.array_equal(again.nodes, x[x > 0])
+    assert np.array_equal(again.weights, w[x > 0])
+
+
 def test_chebyshev_rule_contract():
     for M in (1, 5, 32):
         q = chebyshev_rule_for_j0(M)
