@@ -215,7 +215,7 @@ def _load_kernel(path: str):
     promoted to a unit-band interval kernel."""
     with open(path) as fh:
         doc = json.load(fh)
-    if "region" in doc:
+    if isinstance(doc, dict) and "region" in doc:
         return quadrature_nd_from_json(doc)
     from .moments import quadrature_from_json
     return expsum_kernel(quadrature_from_json(doc))

@@ -16,10 +16,9 @@ import numpy as np
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from numbers import Real
-from scipy.integrate import quad
-from scipy.special import j1 as bessel_j1
 
-from .numkit import _scalar, sinc, cosinc, expc, power_exp_integral
+from .numkit import _quad as quad, _scalar, sinc, cosinc, expc, \
+    power_exp_integral
 from .sincapprox import symmetric_sinc_rule, one_sided_unit_rule
 from .moments import Quadrature1D, chebyshev_rule_for_j0
 
@@ -926,6 +925,7 @@ def _k_cone_1(spec: ConeSpec, t, x):
 
 def _j1c(z):
     """J1(z)/z of a float array, with the limit 1/2 at zero."""
+    from scipy.special import j1 as bessel_j1
     small = np.abs(z) <= 1e-4
     zs = np.where(small, 1.0, z)
     return np.where(small, 0.5 - z * z / 16.0 + z ** 4 / 384.0,

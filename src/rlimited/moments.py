@@ -17,7 +17,6 @@ import numpy as np
 from dataclasses import dataclass, field
 from functools import lru_cache
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import hankel, svd, eig, lstsq
 
 PRESET_NAMES = ("sinc_cos", "j0_cos", "gauss_cos", "sinc_gauss",
                 "j0_sinc", "j1_cosinc")
@@ -206,6 +205,7 @@ def solve_moment_problem(h: MomentSequence, M: int,
     eigenvalues (node_kind "direct"): sum_m a_m g_m^n reproduces h_n within
     tol * max|h| over all n supplied, or a ValueError is raised.
     """
+    from scipy.linalg import hankel, svd, eig, lstsq
     hv = np.asarray(h.values, dtype=float)
     if len(hv) < 2 * M:
         raise ValueError("need at least 2M=%d moments, got %d"
@@ -283,9 +283,27 @@ def quadrature_to_json(q: Quadrature1D) -> dict:
             "provenance": dict(q.provenance)}
 
 
+# the JSON type of each rule key; all four are required
+_RULE_JSON = {"band": ((int, float), "a number"),
+              "symmetric": (bool, "true or false"),
+              "weights": (list, "an array"), "nodes": (list, "an array")}
+
+
 def quadrature_from_json(d: dict) -> Quadrature1D:
+    """The rule of quadrature_to_json's layout; ValueError, naming the key,
+    for a rule that is not an object or a key missing or of the wrong JSON
+    type."""
+    if not isinstance(d, dict):
+        raise ValueError("1D rule must be a JSON object, not %s"
+                         % type(d).__name__)
+    for key, (kind, name) in _RULE_JSON.items():
+        if key not in d:
+            raise ValueError("1D rule has no %r key" % key)
+        if not isinstance(d[key], kind) or isinstance(d[key], bool) \
+                and key == "band":
+            raise ValueError("1D rule %s must be %s: %r" % (key, name, d[key]))
     return Quadrature1D(weights=_num_from_json(d["weights"]),
                         nodes=_num_from_json(d["nodes"]),
                         band=float(d["band"]),
-                        symmetric=bool(d["symmetric"]),
+                        symmetric=d["symmetric"],
                         provenance=dict(d.get("provenance", {})))

@@ -23,6 +23,18 @@ def _scalar(out):
     return out.item() if out.ndim == 0 else out
 
 
+def _quad(*args, **kwargs):
+    """scipy.integrate.quad, imported when first called.
+
+    scipy.integrate brings scipy.optimize with it, a longer import than
+    numpy's, which no cold start should pay.  kernels, projection and
+    verify bind this as their module-level ``quad``, so that name stays
+    rebindable (a counting wrapper, say).
+    """
+    from scipy.integrate import quad
+    return quad(*args, **kwargs)
+
+
 def sinc(x):
     """sin(x)/x with the removable singularity filled in; sinc(0) = 1.
 

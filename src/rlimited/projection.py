@@ -13,9 +13,9 @@ import math
 
 import numpy as np
 from dataclasses import dataclass, field, replace
-from scipy.integrate import quad
 
-from .numkit import _scalar, sinc, PointSet, SampledField, grid_axes
+from .numkit import _quad as quad, _scalar, sinc, PointSet, SampledField, \
+    grid_axes
 from .moments import Quadrature1D, uniform_rule
 from .sincapprox import CosineSumApprox, error_epsilon_B
 from .kernels import (QuadratureND, interval_region, region_dim,

@@ -12,10 +12,8 @@ import time
 from math import lgamma, log
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.spatial import cKDTree
 
-from .numkit import sinc, make_grid, SampledField
+from .numkit import _quad as quad, sinc, make_grid, SampledField
 from .moments import (
     gauss_legendre_01,
     chebyshev_rule_for_j0,
@@ -397,6 +395,7 @@ def check_triangle_kernel(grid=None, seed=None):
 
 
 def check_symmetry(grid=None, seed=None):
+    from scipy.spatial import cKDTree
     rows = []
     q = equilateral_symmetric_quadrature(4, 4)
     th = 2 * np.pi / 3

@@ -364,6 +364,37 @@ def test_project_kernel_with_malformed_region_exit_2(tmp_path, capsys,
     assert not (tmp_path / "o" / "projection.csv").exists()
 
 
+_RULE = {"band": 2.0, "symmetric": True, "weights": [1.0], "nodes": [0.5]}
+
+
+@pytest.mark.parametrize("doc, match", [
+    ([], "1D rule must be a JSON object, not list"),
+    (5, "1D rule must be a JSON object, not int"),
+    ({k: v for k, v in _RULE.items() if k != "band"},
+     "1D rule has no 'band' key"),
+    ({k: v for k, v in _RULE.items() if k != "symmetric"},
+     "1D rule has no 'symmetric' key"),
+    (dict(_RULE, symmetric="no"), "1D rule symmetric must be true or false"),
+    (dict(_RULE, weights=5), "1D rule weights must be an array")],
+    ids=["list", "int", "no-band", "no-symmetric", "symmetric-string",
+         "weights-int"])
+def test_project_malformed_rule_document_exit_2(tmp_path, capsys, doc,
+                                                match):
+    # a list or int document raised TypeError (exit 1), a missing key
+    # printed only the bare KeyError text, and "symmetric": "no" read as true
+    kpath = tmp_path / "rule.json"
+    kpath.write_text(json.dumps(doc))
+    _line_field(tmp_path / "field.csv")
+    capsys.readouterr()
+    rc = main(["project", "--field", str(tmp_path / "field.csv"),
+               "--kernel", str(kpath), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert match in err[0]
+    assert not (tmp_path / "o" / "projection.csv").exists()
+
+
 def test_verify_single_suite(tmp_path, capsys):
     rc = main(["verify", "--suite", "moments", "--out", str(tmp_path)])
     assert rc == 0
