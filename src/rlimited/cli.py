@@ -283,12 +283,9 @@ def cmd_verify(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--grid", type=int, default=None,
-                        help="grid points per axis where applicable")
-    common.add_argument("--tol", type=float, default=None,
-                        help="extra relative slack for verify bounds")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for generated test data")
+    gridded = argparse.ArgumentParser(add_help=False, parents=[common])
+    gridded.add_argument("--grid", type=int, default=None,
+                         help="grid points per axis")
 
     p = argparse.ArgumentParser(prog="rlimited",
                                 description=__doc__.splitlines()[0])
@@ -312,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--kmax", type=float, default=1.0)
     q.set_defaults(func=cmd_quad)
 
-    a = sub.add_parser("approx-sinc", parents=[common],
+    a = sub.add_parser("approx-sinc", parents=[gridded],
                        help="cosine or chirplet expansion of the sinc")
     a.add_argument("--B0", type=float, default=20.0)
     a.add_argument("--M", type=int, default=6)
@@ -327,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--uniform", action="store_true")
     w.set_defaults(func=cmd_pswf)
 
-    k = sub.add_parser("kernel-eval", parents=[common],
+    k = sub.add_parser("kernel-eval", parents=[gridded],
                        help="closed-form kernel field on a grid")
     k.add_argument("--region", required=True,
                    choices=["triangle", "tetra", "cone", "ball"])
@@ -339,17 +336,21 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("--extent", type=float, default=1.0)
     k.set_defaults(func=cmd_kernel_eval)
 
-    j = sub.add_parser("project", parents=[common],
+    j = sub.add_parser("project", parents=[gridded],
                        help="apply an exponential-sum kernel to a field")
     j.add_argument("--field", required=True, help="input SampledField CSV")
     j.add_argument("--kernel", required=True, help="kernel JSON")
     j.set_defaults(func=cmd_project)
 
-    v = sub.add_parser("verify", parents=[common],
+    v = sub.add_parser("verify", parents=[gridded],
                        help="run the release-gate suites")
     v.add_argument("--suite", action="append", default=None,
                    help="suite name, repeatable or comma separated "
                         "(default: all)")
+    v.add_argument("--tol", type=float, default=None,
+                   help="extra relative slack for verify bounds")
+    v.add_argument("--seed", type=int, default=None,
+                   help="seed for generated test data")
     v.set_defaults(func=cmd_verify)
     return p
 

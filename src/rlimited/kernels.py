@@ -514,14 +514,27 @@ def _error_profile(cloud, exact, box, grid_n: int) -> dict:
     return {"max_err": float(err), "box": box, "grid_n": int(grid_n)}
 
 
-def _with_profile(q: QuadratureND, exact, target_box,
-                  profile_grid: int) -> QuadratureND:
-    """Record the error profile over the difference box of target_box
-    (skipped when profile_grid is 0)."""
+def _measured_profile(q: QuadratureND, box, grid_n: int) -> dict:
+    """The error profile of cloud q over the base-coordinate box: its sum
+    at base points Y, sum_m w_m e^{i 2 pi Y.k_m}, against the closed form
+    |det B| K_R(Y) of its own region, as _KINDS evaluates it."""
+    det = q.det_band()
+    return _error_profile((q.weights, q.nodes),
+                          lambda Y: det * region_kernel_exact(q.region, Y),
+                          box, grid_n)
+
+
+def _cloud(weights, nodes, region: Region, target, profile_grid: int,
+           symmetry_group=None, **provenance) -> QuadratureND:
+    """A built cloud whose provenance holds the keywords in call order,
+    then the error profile over the difference box of the target box
+    target (skipped when profile_grid is 0)."""
+    q = QuadratureND(weights=weights, nodes=nodes, region=region,
+                     symmetry_group=symmetry_group, provenance=provenance)
     if profile_grid:
-        box = [[-w, w] for w in _difference_widths(target_box)]
-        q.provenance["error_profile"] = _error_profile(
-            (q.weights, q.scaled_nodes()), exact, box, profile_grid)
+        box = [[-w, w] for w in _difference_widths(target)]
+        q.provenance["error_profile"] = _measured_profile(q, box,
+                                                          profile_grid)
     return q
 
 
@@ -567,34 +580,22 @@ def _azimuth_ring(M_t: int):
     return np.pi / (2.0 * M_t), az.reshape(-1, 2)
 
 
-def _group_copies(base: QuadratureND, group, placement, piece_kernel,
-                  construction: str, target_box,
-                  profile_grid: int) -> QuadratureND:
+def _group_copies(base: QuadratureND, group, placement, construction: str,
+                  target_box, profile_grid: int) -> QuadratureND:
     """Copy a piece rule through a rotation group (after an optional
-    placement); the node multiset is group invariant by construction.
-
-    The profile sums the piece's closed form at pts @ (R placement); every
-    map is a rotation, so no |det| factor enters.
+    placement); the node multiset is group invariant by construction, and
+    the region is the union of the piece region mapped by each R placement.
     """
     placed, maps = base.nodes, group
     if placement is not None:
         placed = placed @ placement.T
         maps = [R @ placement for R in group]
-    q = QuadratureND(
-        weights=np.concatenate([base.weights] * len(group)),
-        nodes=np.concatenate([placed @ R.T for R in group]),
-        region=union_region([transformed_region(base.region, A)
-                             for A in maps]),
-        symmetry_group=[R.copy() for R in group],
-        provenance={"construction": construction,
-                    "piece": dict(base.provenance)})
-
-    def exact(pts):
-        out = np.zeros(len(pts), dtype=complex)
-        for A in maps:
-            out += piece_kernel(pts @ A)
-        return out
-    return _with_profile(q, exact, target_box, profile_grid)
+    return _cloud(np.concatenate([base.weights] * len(group)),
+                  np.concatenate([placed @ R.T for R in group]),
+                  union_region([transformed_region(base.region, A)
+                                for A in maps]),
+                  target_box, profile_grid, [R.copy() for R in group],
+                  construction=construction, piece=dict(base.provenance))
 
 
 def _box_provenance(target_box) -> list:
@@ -622,13 +623,10 @@ def triangle_quadrature(spec: TriangleSpec, M_outer: int, M_inner: int,
         spec.area, [lambda: outer, lambda v: symmetric_sinc_rule(
             2.0 * np.pi * spec.dp * spec.s * v * Wy, M_inner)],
         lambda v, u: np.stack([spec.dp * v, spec.dp * spec.s * v * u], -1))
-    q = QuadratureND(weights=weights, nodes=nodes,
-                     region=triangle_region(spec.dp, spec.s),
-                     provenance={"construction": "wedge-cascade",
-                                 "M_outer": M_outer, "M_inner": M_inner,
-                                 "target_box": _box_provenance(target_box)})
-    return _with_profile(q, lambda p: k_triangle(spec, *p.T),
-                         target_box, profile_grid)
+    return _cloud(weights, nodes, triangle_region(spec.dp, spec.s),
+                  target_box, profile_grid, construction="wedge-cascade",
+                  M_outer=M_outer, M_inner=M_inner,
+                  target_box=_box_provenance(target_box))
 
 
 def _rot2(angle: float) -> np.ndarray:
@@ -650,8 +648,7 @@ def equilateral_symmetric_quadrature(M_outer: int, M_inner: int,
                                profile_grid=0)
     return _group_copies(
         base, [_rot2(2.0 * np.pi * j / 3.0) for j in range(3)], None,
-        lambda p: k_triangle(spec, *p.T), "equilateral-three-wedges",
-        target_box, profile_grid)
+        "equilateral-three-wedges", target_box, profile_grid)
 
 
 # --------------------------------------------------------------------------
@@ -764,13 +761,9 @@ def tetra_quadrature(spec: TetraSpec, M1: int, M2: int, M3: int,
         lambda w, v: symmetric_sinc_rule(
             2.0 * np.pi * spec.h * spec.dp * spec.s * w * v * Wx, M3)],
         node_map)
-    q = QuadratureND(weights=weights, nodes=nodes,
-                     region=tetrahedron_region(spec.h, spec.dp, spec.s),
-                     provenance={"construction": "tetra-cascade",
-                                 "M1": M1, "M2": M2, "M3": M3,
-                                 "target_box": _box_provenance(target_box)})
-    return _with_profile(q, lambda p: k_tetra(spec, *p.T), target_box,
-                         profile_grid)
+    return _cloud(weights, nodes, tetrahedron_region(spec.h, spec.dp, spec.s),
+                  target_box, profile_grid, construction="tetra-cascade",
+                  M1=M1, M2=M2, M3=M3, target_box=_box_provenance(target_box))
 
 
 # --------------------------------------------------------------------------
@@ -862,12 +855,10 @@ def tetra_symmetric_quadrature(M1: int, M2: int, M3: int,
     the 12-element rotation group; invariance of the node multiset is then
     automatic.  Weight total 12 x piece volume = 1/(6 sqrt 2).
     """
-    spec = sub_tetra_spec()
-    base = tetra_quadrature(spec, M1, M2, M3, target_box, profile_grid=0)
-    return _group_copies(
-        base, tetra_symmetry_group(), SUB_TETRA_PLACEMENT,
-        lambda p: k_tetra(spec, *p.T), "tetra-twelve-pieces", target_box,
-        profile_grid)
+    base = tetra_quadrature(sub_tetra_spec(), M1, M2, M3, target_box,
+                            profile_grid=0)
+    return _group_copies(base, tetra_symmetry_group(), SUB_TETRA_PLACEMENT,
+                         "tetra-twelve-pieces", target_box, profile_grid)
 
 
 # --------------------------------------------------------------------------
@@ -1168,13 +1159,9 @@ def cone_quadrature(spec: ConeSpec, M_w: int, M_p: int, M_t: int,
         lambda Om: one_sided_unit_rule(
             2.0 * np.pi * w0 * abs(Om) * p * Wr, M_p, power=1),
         lambda Om, rho: ring], node_map)
-    q = QuadratureND(weights=weights, nodes=nodes,
-                     region=cone_region(w0, p, 2),
-                     provenance={"construction": "cone-cascade",
-                                 "M_w": M_w, "M_p": M_p, "M_t": M_t,
-                                 "target_box": _box_provenance(target_box)})
-    return _with_profile(q, lambda pts: k_cone(spec, pts[:, 0], pts[:, 1:]),
-                         target_box, profile_grid)
+    return _cloud(weights, nodes, cone_region(w0, p, 2), target_box,
+                  profile_grid, construction="cone-cascade", M_w=M_w,
+                  M_p=M_p, M_t=M_t, target_box=_box_provenance(target_box))
 
 
 # --------------------------------------------------------------------------
@@ -1220,10 +1207,6 @@ def ball_quadrature(k_max: float, M_r: int, M_th: int, M_t: int,
         lambda: radial,
         lambda rho: symmetric_sinc_rule(2.0 * np.pi * k_max * rho * WR, M_th),
         lambda rho, tau: ring], node_map)
-    q = QuadratureND(weights=weights, nodes=nodes,
-                     region=ball_region(k_max),
-                     provenance={"construction": "ball-cascade",
-                                 "M_r": M_r, "M_th": M_th, "M_t": M_t,
-                                 "target_box": _box_provenance(target_box)})
-    return _with_profile(q, lambda pts: k_ball(k_max, pts), target_box,
-                         profile_grid)
+    return _cloud(weights, nodes, ball_region(k_max), target_box,
+                  profile_grid, construction="ball-cascade", M_r=M_r,
+                  M_th=M_th, M_t=M_t, target_box=_box_provenance(target_box))

@@ -13,6 +13,8 @@ Callers wanting frequency nodes from a "direct" rule take sqrt(g).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -270,8 +272,24 @@ def _num_to_json(a: np.ndarray):
     return a.astype(float).tolist()
 
 
-def _num_from_json(lst) -> np.ndarray:
-    if lst and isinstance(lst[0], (list, tuple)):
+def _finite(v) -> bool:
+    """A finite JSON number; booleans do not count."""
+    try:
+        return not isinstance(v, bool) and math.isfinite(v)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _num_from_json(lst: list, key: str) -> np.ndarray:
+    """Finite numbers, or complex entries as [re, im] pairs of them when
+    the first entry is a pair; ValueError naming key for any other entry."""
+    pairs = bool(lst) and isinstance(lst[0], list)
+    for i, v in enumerate(lst):
+        if not (isinstance(v, list) and len(v) == 2 and all(map(_finite, v))
+                if pairs else _finite(v)):
+            raise ValueError("1D rule %s must hold finite numbers or [re, im] "
+                             "pairs of them; entry %d is %r" % (key, i, v))
+    if pairs:
         return np.asarray([complex(re, im) for re, im in lst])
     return np.asarray([float(v) for v in lst])
 
@@ -283,27 +301,29 @@ def quadrature_to_json(q: Quadrature1D) -> dict:
             "provenance": dict(q.provenance)}
 
 
-# the JSON type of each rule key; all four are required
+# the JSON type of each rule key; all but provenance are required
 _RULE_JSON = {"band": ((int, float), "a number"),
               "symmetric": (bool, "true or false"),
-              "weights": (list, "an array"), "nodes": (list, "an array")}
+              "weights": (list, "an array"), "nodes": (list, "an array"),
+              "provenance": (dict, "an object")}
 
 
 def quadrature_from_json(d: dict) -> Quadrature1D:
     """The rule of quadrature_to_json's layout; ValueError, naming the key,
-    for a rule that is not an object or a key missing or of the wrong JSON
-    type."""
+    for a rule that is not an object, a key missing or of the wrong JSON
+    type, an array entry that is not a finite number or [re, im] pair, or a
+    provenance that is not an object."""
     if not isinstance(d, dict):
         raise ValueError("1D rule must be a JSON object, not %s"
                          % type(d).__name__)
     for key, (kind, name) in _RULE_JSON.items():
-        if key not in d:
+        if key not in d and key != "provenance":
             raise ValueError("1D rule has no %r key" % key)
-        if not isinstance(d[key], kind) or isinstance(d[key], bool) \
-                and key == "band":
-            raise ValueError("1D rule %s must be %s: %r" % (key, name, d[key]))
-    return Quadrature1D(weights=_num_from_json(d["weights"]),
-                        nodes=_num_from_json(d["nodes"]),
+        v = d.get(key, {})
+        if not isinstance(v, kind) or isinstance(v, bool) and key == "band":
+            raise ValueError("1D rule %s must be %s: %r" % (key, name, v))
+    return Quadrature1D(weights=_num_from_json(d["weights"], "weights"),
+                        nodes=_num_from_json(d["nodes"], "nodes"),
                         band=float(d["band"]),
                         symmetric=d["symmetric"],
                         provenance=dict(d.get("provenance", {})))

@@ -19,7 +19,7 @@ from .numkit import _quad as quad, _scalar, sinc, PointSet, SampledField, \
 from .moments import Quadrature1D, uniform_rule
 from .sincapprox import CosineSumApprox, error_epsilon_B
 from .kernels import (QuadratureND, interval_region, region_dim,
-                      region_kernel_exact, _as_points, _error_profile)
+                      region_kernel_exact, _as_points, _measured_profile)
 
 __all__ = [
     "ProjectionResult", "expsum_kernel", "region_dim",
@@ -269,10 +269,11 @@ def reconstruction_stability_constant(basis, eps0: float, eps_max: float,
     """Stability constant of the spectrally regularized reconstruction:
 
     C = sum_n [ 2 B^{-1/2} mu_n^{-3/2} (2B - eps0)
-                + 8 B mu_n^{-2} eps_max ] / eps contribution scale,
+                + 8 B mu_n^{-2} eps_max ],
 
-    summed over the retained eigenpairs.  Grows fast as mu -> 0, which is
-    exactly why the mu_min floor exists.
+    summed over the retained eigenpairs (mu_n >= mu_min), with B the
+    basis band.  Grows fast as mu -> 0, which is exactly why the mu_min
+    floor exists.
     """
     B = float(np.atleast_2d(basis.band)[0, 0])
     mu = np.asarray(basis.eigenvalues_mu, dtype=float)
@@ -350,21 +351,12 @@ def needed_base_box(kernel: QuadratureND, eval_pts: np.ndarray,
 
 def measure_kernel_profile(kernel: QuadratureND, base_box,
                            grid_n: int = 101) -> QuadratureND:
-    """Copy of the kernel carrying a freshly measured error profile.
-
-    The sum is compared against |det B| times the exact closed-form region
-    kernel on a grid_n^d tensor grid over base_box (base coordinates, i.e.
-    the range of B^T(x - s) differences the kernel must cover).  At a base
-    point Y the banded sum is sum_m w_m e^{i 2 pi Y.k_m}, so the profile
-    contracts the base nodes one grid axis at a time: d grid_n N
-    exponentials and O(grid_n N) memory, so a 31^3 grid over a 10^4-node
-    cloud needs tens of MiB where the dense matrix would need gigabytes.
-    """
-    det = kernel.det_band()
-    prof = _error_profile(
-        (kernel.weights, kernel.nodes),
-        lambda Y: det * region_kernel_exact(kernel.region, Y),
-        base_box, grid_n)
+    """Copy of the kernel carrying a freshly measured error profile, by the
+    routine every cascade records its profile with: the sum against |det B|
+    times its own region's closed form on a grid_n^d tensor grid over
+    base_box (base coordinates: the range of B^T(x - s) differences the
+    kernel must cover)."""
+    prof = _measured_profile(kernel, base_box, grid_n)
     return replace(kernel, provenance={**kernel.provenance,
                                        "error_profile": prof})
 

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from rlimited.cli import main
-from rlimited.kernels import k_ball
+from rlimited.kernels import k_ball, quadrature_nd_from_json
 from rlimited.moments import quadrature_from_json, quadrature_to_json
 from rlimited.numkit import PointSet, SampledField, dumps_json, make_grid, \
     read_field_csv, write_field_csv
-from rlimited.projection import bandlimited_projection_oracle
+from rlimited.projection import bandlimited_projection_oracle, \
+    expsum_kernel, measure_kernel_profile
 from rlimited.sincapprox import build_sinc_cosine_approx, frequency_rule
 
 
@@ -375,13 +376,22 @@ _RULE = {"band": 2.0, "symmetric": True, "weights": [1.0], "nodes": [0.5]}
     ({k: v for k, v in _RULE.items() if k != "symmetric"},
      "1D rule has no 'symmetric' key"),
     (dict(_RULE, symmetric="no"), "1D rule symmetric must be true or false"),
-    (dict(_RULE, weights=5), "1D rule weights must be an array")],
+    (dict(_RULE, weights=5), "1D rule weights must be an array"),
+    (dict(_RULE, weights=[None]), "1D rule weights must hold finite"),
+    (dict(_RULE, weights=[float("nan")]), "1D rule weights must hold finite"),
+    (dict(_RULE, nodes=[[1, 2, 3]]), "1D rule nodes must hold finite"),
+    (dict(_RULE, weights=[1.0, 2.0], nodes=[[0.5, 0.0], 0.25]),
+     "1D rule nodes must hold finite"),
+    (dict(_RULE, provenance=5), "1D rule provenance must be an object")],
     ids=["list", "int", "no-band", "no-symmetric", "symmetric-string",
-         "weights-int"])
+         "weights-int", "weights-null", "weights-nan", "nodes-3-row",
+         "nodes-mixed", "provenance-int"])
 def test_project_malformed_rule_document_exit_2(tmp_path, capsys, doc,
                                                 match):
-    # a list or int document raised TypeError (exit 1), a missing key
-    # printed only the bare KeyError text, and "symmetric": "no" read as true
+    # a list or int document, a null entry, a mixed nodes array and an int
+    # provenance raised TypeError (exit 1), a 3-entry row printed only "too
+    # many values to unpack", a missing key printed only the bare KeyError
+    # text, and "symmetric": "no" read as true
     kpath = tmp_path / "rule.json"
     kpath.write_text(json.dumps(doc))
     _line_field(tmp_path / "field.csv")
@@ -393,6 +403,65 @@ def test_project_malformed_rule_document_exit_2(tmp_path, capsys, doc,
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert match in err[0]
     assert not (tmp_path / "o" / "projection.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["quad", "--preset", "gauss-legendre", "--M", "4"],
+    ["quad", "--preset", "sinc_cos", "--M", "4", "--symmetric"],
+    ["quad", "--preset", "sinc_gauss", "--M", "4"],
+    ["quad", "--preset", "j1_cosinc", "--M", "4"]],
+    ids=["gauss-legendre", "sinc_cos-symmetric", "sinc_gauss-complex",
+         "j1_cosinc"])
+def test_quad_rule_documents_read_back(tmp_path, capsys, argv):
+    # the reader's entry checks pass every rule quad writes, real entries
+    # and complex [re, im] rows alike
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    doc = json.load(open(tmp_path / "quadrature.json"))
+    assert quadrature_to_json(quadrature_from_json(doc)) == doc
+
+
+QUAD_REGIONS = {
+    "triangle": ["--region", "triangle"],
+    "equilateral": ["--region", "equilateral"],
+    "equilateral-symmetric": ["--region", "equilateral", "--symmetric"],
+    "tetra": ["--region", "tetra"],
+    "tetra-symmetric": ["--region", "tetra", "--symmetric"],
+    "cone": ["--region", "cone"],
+    "ball": ["--region", "ball"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUAD_REGIONS))
+def test_quad_region_profile_reads_back_as_measured(tmp_path, capsys, name):
+    # the recorded profile, after the JSON round trip, is the one project's
+    # routine measures on the same box and grid; the tetra pieces' union
+    # differed by the |det(R P)| = 1 +- 4e-16 factor of each copy
+    assert main(["quad", *QUAD_REGIONS[name], "--M", "4",
+                 "--out", str(tmp_path)]) == 0
+    q = quadrature_nd_from_json(json.load(open(tmp_path / "quadrature.json")))
+    prof = q.provenance["error_profile"]
+    again = measure_kernel_profile(expsum_kernel(q), prof["box"],
+                                   prof["grid_n"])
+    assert again.provenance["error_profile"] == prof
+
+
+@pytest.mark.parametrize("argv", [
+    ["quad", "--preset", "gauss-legendre", "--M", "4", "--tol", "1"],
+    ["quad", "--preset", "gauss-legendre", "--M", "4", "--seed", "9"],
+    ["quad", "--preset", "gauss-legendre", "--M", "4", "--grid", "7"],
+    ["pswf", "--grid", "5"],
+    ["kernel-eval", "--region", "ball", "--seed", "3"],
+    ["project", "--field", "f.csv", "--kernel", "k.json", "--tol", "1"]],
+    ids=["quad-tol", "quad-seed", "quad-grid", "pswf-grid",
+         "kernel-eval-seed", "project-tol"])
+def test_option_the_command_does_not_read_exit_2(tmp_path, capsys, argv):
+    # every subcommand took --grid, --tol and --seed and ignored those it
+    # does not read, with exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_verify_single_suite(tmp_path, capsys):

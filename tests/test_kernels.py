@@ -532,17 +532,7 @@ def test_recorded_profile_matches_measure_kernel_profile(name):
     prof = q.provenance["error_profile"]
     again = measure_kernel_profile(expsum_kernel(q), prof["box"],
                                    prof["grid_n"]).provenance["error_profile"]
-    if name != "tetra-symmetric":
-        assert again == prof
-        return
-    # measure_kernel_profile goes through the union region, which scales
-    # each piece by |det(R P)| = 1 +- 7e-16; the builder sums the piece
-    # closed form at pts @ (R P) unscaled.  The difference is relative to
-    # the kernel scale K(0) = weight sum, not to the (small) max_err.
-    assert again["box"] == prof["box"]
-    assert again["grid_n"] == prof["grid_n"]
-    assert abs(again["max_err"] - prof["max_err"]) \
-        <= 1e-12 * q.weights.sum()
+    assert again == prof
 
 
 def test_cone_cascade_profile_improves_with_terms():
