@@ -20,7 +20,7 @@ from numbers import Real
 from .numkit import _quad as quad, _scalar, sinc, cosinc, expc, \
     power_exp_integral
 from .sincapprox import symmetric_sinc_rule, one_sided_unit_rule
-from .moments import Quadrature1D, chebyshev_rule_for_j0
+from .moments import Quadrature1D, _finite, chebyshev_rule_for_j0
 
 # --------------------------------------------------------------------------
 # region descriptions
@@ -243,18 +243,53 @@ def quadrature_nd_to_json(q: QuadratureND) -> dict:
     return d
 
 
+# the JSON type of each node-cloud key but region, which region_from_json
+# checks; null reads as absent for the optional ones, all but weights and
+# nodes; error_profile is the older layout's, which kept the profile at top
+# level
+_CLOUD_JSON = {"weights": (list, "an array"), "nodes": (list, "an array"),
+               "band": (list, "an array"),
+               "symmetry_group": (list, "an array"),
+               "provenance": (dict, "an object"),
+               "error_profile": (dict, "an object")}
+
+
+def _finite_array(v: list, key: str, rows: bool) -> np.ndarray:
+    """v as a float array of finite numbers, or with rows of equal-length
+    arrays of them; ValueError naming key and the first bad entry."""
+    width = len(v[0]) if rows and v and isinstance(v[0], list) else None
+    for i, e in enumerate(v):
+        if not (isinstance(e, list) and len(e) == width
+                and all(map(_finite, e)) if rows else _finite(e)):
+            raise ValueError("kernel %s must hold %s; entry %d is %r" % (
+                key, "equal-length rows of finite numbers" if rows
+                else "finite numbers", i, e))
+    return np.asarray(v, dtype=float)
+
+
 def quadrature_nd_from_json(d: dict) -> QuadratureND:
-    """Also reads the older kernel layout, which keeps the error profile
-    at top level."""
-    group = d.get("symmetry_group")
-    prov = dict(d.get("provenance", {}))
+    """The cloud of quadrature_nd_to_json's layout, or of the older one;
+    ValueError, naming the key, for a document that is not an object, a key
+    missing or of the wrong JSON type, or an entry of weights, nodes or band
+    that is not a finite number or a row of them."""
+    if not isinstance(d, dict):
+        raise ValueError("kernel must be a JSON object, not %s"
+                         % type(d).__name__)
+    for key, (kind, name) in _CLOUD_JSON.items():
+        v = d.get(key)
+        if v is None and key not in ("weights", "nodes"):
+            continue
+        if not isinstance(v, kind):
+            raise ValueError("kernel %s must be %s: %r" % (key, name, v))
+    group, band = d.get("symmetry_group"), d.get("band")
+    prov = dict(d.get("provenance") or {})
     if d.get("error_profile"):
         prov["error_profile"] = dict(d["error_profile"])
     return QuadratureND(
-        weights=np.asarray(d["weights"], dtype=float),
-        nodes=np.asarray(d["nodes"], dtype=float),
-        region=region_from_json(d["region"]),
-        band=d.get("band"),
+        weights=_finite_array(d["weights"], "weights", rows=False),
+        nodes=_finite_array(d["nodes"], "nodes", rows=True),
+        region=region_from_json(d.get("region")),
+        band=None if band is None else _finite_array(band, "band", rows=True),
         symmetry_group=[np.asarray(m, dtype=float) for m in group]
         if group else None,
         provenance=prov)

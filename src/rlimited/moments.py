@@ -302,7 +302,7 @@ def quadrature_to_json(q: Quadrature1D) -> dict:
 
 
 # the JSON type of each rule key; all but provenance are required
-_RULE_JSON = {"band": ((int, float), "a number"),
+_RULE_JSON = {"band": ((int, float), "a finite number > 0"),
               "symmetric": (bool, "true or false"),
               "weights": (list, "an array"), "nodes": (list, "an array"),
               "provenance": (dict, "an object")}
@@ -311,8 +311,9 @@ _RULE_JSON = {"band": ((int, float), "a number"),
 def quadrature_from_json(d: dict) -> Quadrature1D:
     """The rule of quadrature_to_json's layout; ValueError, naming the key,
     for a rule that is not an object, a key missing or of the wrong JSON
-    type, an array entry that is not a finite number or [re, im] pair, or a
-    provenance that is not an object."""
+    type, a band that is not a finite number > 0, an array entry that is
+    not a finite number or [re, im] pair, or a provenance that is not an
+    object."""
     if not isinstance(d, dict):
         raise ValueError("1D rule must be a JSON object, not %s"
                          % type(d).__name__)
@@ -320,7 +321,8 @@ def quadrature_from_json(d: dict) -> Quadrature1D:
         if key not in d and key != "provenance":
             raise ValueError("1D rule has no %r key" % key)
         v = d.get(key, {})
-        if not isinstance(v, kind) or isinstance(v, bool) and key == "band":
+        if not isinstance(v, kind) or key == "band" and not (
+                _finite(v) and v > 0):
             raise ValueError("1D rule %s must be %s: %r" % (key, name, v))
     return Quadrature1D(weights=_num_from_json(d["weights"], "weights"),
                         nodes=_num_from_json(d["nodes"], "nodes"),

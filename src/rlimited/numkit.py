@@ -43,10 +43,12 @@ def sinc(x):
     x = np.asarray(x, dtype=float)
     small = np.abs(x) <= _SERIES_CUT
     xs = np.where(small, 1.0, x)  # keeps the direct branch NaN-free
-    x2 = x * x
-    series = 1.0 + x2 * (-1.0 / 6.0 + x2 * (1.0 / 120.0 + x2 * (
-        -1.0 / 5040.0 + x2 * (1.0 / 362880.0 - x2 / 39916800.0))))
-    out = np.where(small, series, np.sin(xs) / xs)
+    out = np.asarray(np.sin(xs) / xs)
+    if small.any():               # the series only where it is taken
+        xm = x[small] if x.ndim else x    # a 0-d x stays a scalar
+        x2 = xm * xm
+        out[small] = 1.0 + x2 * (-1.0 / 6.0 + x2 * (1.0 / 120.0 + x2 * (
+            -1.0 / 5040.0 + x2 * (1.0 / 362880.0 - x2 / 39916800.0))))
     return _scalar(out)
 
 
@@ -55,10 +57,12 @@ def cosinc(x):
     x = np.asarray(x, dtype=float)
     small = np.abs(x) <= _SERIES_CUT
     xs = np.where(small, 1.0, x)
-    x2 = x * x
-    series = x * (0.5 + x2 * (-1.0 / 24.0 + x2 * (1.0 / 720.0 + x2 * (
-        -1.0 / 40320.0 + x2 / 3628800.0))))
-    out = np.where(small, series, 2.0 * np.sin(0.5 * xs) ** 2 / xs)
+    out = np.asarray(2.0 * np.sin(0.5 * xs) ** 2 / xs)
+    if small.any():
+        xm = x[small] if x.ndim else x
+        x2 = xm * xm
+        out[small] = xm * (0.5 + x2 * (-1.0 / 24.0 + x2 * (1.0 / 720.0 + x2 * (
+            -1.0 / 40320.0 + x2 / 3628800.0))))
     return _scalar(out)
 
 

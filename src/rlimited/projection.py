@@ -130,14 +130,19 @@ def discrete_fourier_repr_1d(fhat_at_nodes, q: Quadrature1D, B: float, t):
 
 
 def discrete_repr_error_bound(a: CosineSumApprox, B: float, T: float,
-                              f_max: float, grid: int = 4001) -> float:
+                              f_max, grid: int = 4001):
     """Worst-case bound 2 T max|f| max_{|t| <= 2T} |eps_B(2 pi t)| for the
     discrete representation of the band-B projection of a function
-    supported on [-T, T]; eps_B carries the 2B factor."""
+    supported on [-T, T]; eps_B carries the 2B factor.
+
+    f_max may be an array of max|f| values: eps_B is then evaluated once
+    and one bound is returned per entry.
+    """
     t = np.linspace(-2.0 * T, 2.0 * T, int(grid))
     x = 2.0 * np.pi * t * (float(B) / a.B0)
     eps = 2.0 * float(B) * np.abs(error_epsilon_B(a, x))
-    return float(2.0 * T * f_max * np.max(eps))
+    out = 2.0 * T * np.asarray(f_max, dtype=float) * np.max(eps)
+    return float(out) if out.ndim == 0 else out
 
 
 def nyquist_delta_train_check(f_k, M: int, K: int, B: float = 1.0) -> dict:

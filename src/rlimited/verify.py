@@ -276,13 +276,13 @@ def check_projection_bounds(grid=None, seed=None):
     a = build_sinc_cosine_approx(B, M)
     q = frequency_rule(a)
     ts = np.linspace(-T, T, 41)
+    profiles = [_cosine_profile(rng) for _ in range(20)]
+    bounds = discrete_repr_error_bound(a, B, T, [fm for _, _, fm in profiles])
     worst_ratio = 0.0
-    for _ in range(20):
-        f, fhat, f_max = _cosine_profile(rng)
+    for (f, fhat, _), bound in zip(profiles, bounds):
         vals = discrete_fourier_repr_1d(fhat(B * q.nodes), q, B, ts)
         oracle = _interval_projection(f, B, ts)
         err = float(np.max(np.abs(vals - oracle)))
-        bound = discrete_repr_error_bound(a, B, T, f_max)
         worst_ratio = max(worst_ratio, err / bound)
     rows.append(_row("interval projection error within bound (x20)",
                      1.0, worst_ratio))
@@ -365,6 +365,12 @@ def check_triangle_kernel(grid=None, seed=None):
     def surrogate(xv, yv):
         return q.eval_sum(np.stack([xv, yv], axis=-1))
 
+    # the closed form at (+-X, Y) / 2^e, e = 0..5: every level below reads
+    # these twelve argument arrays, each evaluated once
+    exact = [(k_triangle(spec, X / 2.0 ** e, Y / 2.0 ** e),
+              k_triangle(spec, -X / 2.0 ** e, Y / 2.0 ** e))
+             for e in range(6)]
+
     slack = 1e-12 * spec.area     # evaluator noise allowance per comparison
     worst_viol = -np.inf
     worst_final = 0.0
@@ -372,15 +378,15 @@ def check_triangle_kernel(grid=None, seed=None):
         sc = 2.0 ** m
         Vp = surrogate(X / sc, Y / sc)
         Vm = surrogate(-X / sc, Y / sc)
-        Ep = np.abs(Vp - k_triangle(spec, X / sc, Y / sc))
-        Em = np.abs(Vm - k_triangle(spec, -X / sc, Y / sc))
+        Ep = np.abs(Vp - exact[m][0])
+        Em = np.abs(Vm - exact[m][1])
         for j in range(1, m + 1):
             s2 = 2.0 ** (m - j)
             xj, yj = X / s2, Y / s2
             Vp_new = triangle_scaling_refine(spec, xj, yj, (Vp, Vm))
             Vm_new = triangle_scaling_refine(spec, -xj, yj, (Vm, Vp))
-            Ep_new = np.abs(Vp_new - k_triangle(spec, xj, yj))
-            Em_new = np.abs(Vm_new - k_triangle(spec, -xj, yj))
+            Ep_new = np.abs(Vp_new - exact[m - j][0])
+            Em_new = np.abs(Vm_new - exact[m - j][1])
             worst_viol = max(worst_viol,
                              float(np.max(Ep_new - 0.25 * (3 * Ep + Em))),
                              float(np.max(Em_new - 0.25 * (3 * Em + Ep))))
@@ -397,7 +403,7 @@ def check_triangle_kernel(grid=None, seed=None):
 def check_symmetry(grid=None, seed=None):
     from scipy.spatial import cKDTree
     rows = []
-    q = equilateral_symmetric_quadrature(4, 4)
+    q = equilateral_symmetric_quadrature(4, 4, profile_grid=0)
     th = 2 * np.pi / 3
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     tree = cKDTree(q.nodes)
@@ -426,7 +432,7 @@ def check_symmetry(grid=None, seed=None):
     rows.append(_row("rotation group: size 12, orthogonal, closed", 1e-12,
                      defect))
 
-    qt = tetra_symmetric_quadrature(3, 3, 3)
+    qt = tetra_symmetric_quadrature(3, 3, 3, profile_grid=0)
     tr = cKDTree(qt.nodes)
     worst = 0.0
     for g in G:
@@ -469,12 +475,12 @@ def check_cone_ball(grid=None, seed=None):
     rows.append(_row("windowed squared error within level (x1.05)",
                      1.05 * ls, window))
 
-    q = cone_quadrature(spec, 6, 6, 6)
+    q = cone_quadrature(spec, 6, 6, 6, profile_grid=0)
     meas, _ = quad(lambda w: np.pi * (spec.pmax * abs(w)) ** 2,
                    -spec.omega0, spec.omega0)
     rows.append(_row("cone weights sum to measure (rel)", 1e-6,
                      abs(float(np.real(np.sum(q.weights))) - meas) / meas))
-    qb = ball_quadrature(1.0, 6, 6, 6)
+    qb = ball_quadrature(1.0, 6, 6, 6, profile_grid=0)
     measb, _ = quad(lambda r: 4 * np.pi * r ** 2, 0.0, 1.0)
     rows.append(_row("ball weights sum to measure (rel)", 1e-6,
                      abs(float(np.real(np.sum(qb.weights))) - measb) / measb))

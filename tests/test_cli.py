@@ -382,17 +382,64 @@ _RULE = {"band": 2.0, "symmetric": True, "weights": [1.0], "nodes": [0.5]}
     (dict(_RULE, nodes=[[1, 2, 3]]), "1D rule nodes must hold finite"),
     (dict(_RULE, weights=[1.0, 2.0], nodes=[[0.5, 0.0], 0.25]),
      "1D rule nodes must hold finite"),
-    (dict(_RULE, provenance=5), "1D rule provenance must be an object")],
+    (dict(_RULE, provenance=5), "1D rule provenance must be an object"),
+    (dict(_RULE, band=0), "1D rule band must be a finite number > 0"),
+    (dict(_RULE, band=-2.0), "1D rule band must be a finite number > 0"),
+    (dict(_RULE, band=float("nan")),
+     "1D rule band must be a finite number > 0")],
     ids=["list", "int", "no-band", "no-symmetric", "symmetric-string",
          "weights-int", "weights-null", "weights-nan", "nodes-3-row",
-         "nodes-mixed", "provenance-int"])
+         "nodes-mixed", "provenance-int", "band-zero", "band-negative",
+         "band-nan"])
 def test_project_malformed_rule_document_exit_2(tmp_path, capsys, doc,
                                                 match):
     # a list or int document, a null entry, a mixed nodes array and an int
     # provenance raised TypeError (exit 1), a 3-entry row printed only "too
     # many values to unpack", a missing key printed only the bare KeyError
-    # text, and "symmetric": "no" read as true
+    # text, "symmetric": "no" read as true, a zero band divided by zero
+    # (exit 1), and a negative or NaN band reached the projection
     kpath = tmp_path / "rule.json"
+    kpath.write_text(json.dumps(doc))
+    _line_field(tmp_path / "field.csv")
+    capsys.readouterr()
+    rc = main(["project", "--field", str(tmp_path / "field.csv"),
+               "--kernel", str(kpath), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert match in err[0]
+    assert not (tmp_path / "o" / "projection.csv").exists()
+
+
+_CLOUD = {"weights": [1.0], "nodes": [[0.5, 0.0]],
+          "region": {"kind": "triangle", "params": {"dp": 0.8, "s": 0.7}}}
+
+
+@pytest.mark.parametrize("doc, match", [
+    (dict(_CLOUD, provenance=5), "kernel provenance must be an object"),
+    (dict(_CLOUD, error_profile=5), "kernel error_profile must be an object"),
+    (dict(_CLOUD, weights=5), "kernel weights must be an array"),
+    (dict(_CLOUD, weights=[None]), "kernel weights must hold finite numbers"),
+    (dict(_CLOUD, weights=[float("nan")]),
+     "kernel weights must hold finite numbers"),
+    (dict(_CLOUD, weights=[True]), "kernel weights must hold finite numbers"),
+    (dict(_CLOUD, nodes=[[0.5, None]]),
+     "kernel nodes must hold equal-length rows of finite numbers"),
+    (dict(_CLOUD, weights=[1.0, 1.0], nodes=[[0.5, 0.0], [0.25]]),
+     "kernel nodes must hold equal-length rows of finite numbers"),
+    (dict(_CLOUD, weights=[1.0, 1.0], nodes=[0.5, 0.0]),
+     "kernel nodes must hold equal-length rows of finite numbers"),
+    (dict(_CLOUD, band=[[1.0, None], [0.0, 1.0]]),
+     "kernel band must hold equal-length rows of finite numbers")],
+    ids=["provenance-int", "error-profile-int", "weights-int", "weights-null",
+         "weights-nan", "weights-bool", "nodes-null", "nodes-ragged",
+         "nodes-flat", "band-null"])
+def test_project_malformed_cloud_document_exit_2(tmp_path, capsys, doc,
+                                                 match):
+    # an int provenance or error_profile raised TypeError (exit 1); null,
+    # NaN and boolean entries were read as numbers and reached the
+    # projection, and ragged or flat nodes failed without naming the key
+    kpath = tmp_path / "kernel.json"
     kpath.write_text(json.dumps(doc))
     _line_field(tmp_path / "field.csv")
     capsys.readouterr()

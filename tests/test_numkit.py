@@ -37,6 +37,52 @@ def test_small_argument_branches_match_taylor():
     assert np.max(np.abs(expc(xs) - ref_e)) < 1e-15
 
 
+def two_branch_sinc(x):
+    """sinc as both branches over every element, then np.where."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) <= 1e-3
+    xs = np.where(small, 1.0, x)
+    x2 = x * x
+    series = 1.0 + x2 * (-1.0 / 6.0 + x2 * (1.0 / 120.0 + x2 * (
+        -1.0 / 5040.0 + x2 * (1.0 / 362880.0 - x2 / 39916800.0))))
+    return np.where(small, series, np.sin(xs) / xs)
+
+
+def two_branch_cosinc(x):
+    """cosinc as both branches over every element, then np.where."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) <= 1e-3
+    xs = np.where(small, 1.0, x)
+    x2 = x * x
+    series = x * (0.5 + x2 * (-1.0 / 24.0 + x2 * (1.0 / 720.0 + x2 * (
+        -1.0 / 40320.0 + x2 / 3628800.0))))
+    return np.where(small, series, 2.0 * np.sin(0.5 * xs) ** 2 / xs)
+
+
+@pytest.mark.parametrize("fn, ref", [(sinc, two_branch_sinc),
+                                     (cosinc, two_branch_cosinc)],
+                         ids=["sinc", "cosinc"])
+def test_taken_branch_only_matches_the_two_branch_formula(fn, ref):
+    # the series runs only on the elements at or below the cut; every bit
+    # must be what evaluating both branches everywhere gave
+    cut = 1e-3
+    edges = [0.0, -0.0, cut, -cut, np.nextafter(cut, 1.0),
+             np.nextafter(-cut, -1.0), np.nextafter(cut, 0.0), 5e-324,
+             -5e-324, np.nan, np.inf, -np.inf, 1.0, -3.5]
+    rng = np.random.default_rng(3)
+    spread = rng.normal(size=4000) * 10.0 ** rng.uniform(-7, 3, 4000)
+    with np.errstate(invalid="ignore"):
+        for x in (np.array(edges), spread.reshape(40, 100),
+                  rng.uniform(-2 * cut, 2 * cut, 500)):
+            got, want = fn(x), ref(x)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for v in edges:
+            got = fn(v)
+            assert type(got) is float
+            assert np.float64(got).view(np.int64) == ref(v).view(np.int64), v
+
+
 def test_expc_identity_against_power_integral():
     # int_0^1 e^{zv} dv equals (e^z - 1)/z for any z
     for z in (0.3, -2.0, 4.0 + 1.5j, 1e-5, 20.0):

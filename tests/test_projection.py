@@ -109,6 +109,15 @@ def test_repr_error_bound_recompute(approx):
     assert P.discrete_repr_error_bound(approx, B, T, f_max) == want
 
 
+def test_repr_error_bound_per_f_max(approx):
+    # an array of f_max values: one eps_B evaluation, each entry the bits of
+    # its own scalar call
+    f_maxes = [2.0, 0.3, 7.0]
+    many = P.discrete_repr_error_bound(approx, B, 1.5, f_maxes)
+    assert list(many) == [P.discrete_repr_error_bound(approx, B, 1.5, f)
+                          for f in f_maxes]
+
+
 @pytest.mark.parametrize("Kc,M", [(0, 0), (2, 2), (3, 5)])
 def test_nyquist_delta_train_recovery(Kc, M):
     rng = np.random.default_rng(5)

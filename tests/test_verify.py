@@ -1,12 +1,18 @@
-"""Verify-suite oracles against independent references."""
+"""Verify-suite oracles against independent references, and the suites
+that evaluate each oracle value once against their per-iteration route."""
 import numpy as np
 import pytest
 
-from rlimited.kernels import TriangleSpec, k_triangle, triangle_quadrature
+from rlimited import kernels, verify
+from rlimited.kernels import (TriangleSpec, k_triangle, triangle_quadrature,
+                              triangle_scaling_refine)
 from rlimited.numkit import SampledField, make_grid
 from rlimited.projection import (bandlimited_projection_oracle,
-                                 expsum_kernel, rlimited_discrete_fourier)
-from rlimited.verify import (_cosine_profile, _interval_projection,
+                                 discrete_fourier_repr_1d,
+                                 discrete_repr_error_bound, expsum_kernel,
+                                 rlimited_discrete_fourier)
+from rlimited.sincapprox import build_sinc_cosine_approx, frequency_rule
+from rlimited.verify import (_cosine_profile, _interval_projection, _row,
                              _wedge_projection)
 
 B = 2.0
@@ -106,3 +112,152 @@ def test_planar_projection_within_its_bound(planar_profiles):
         res = rlimited_discrete_fourier(fld, kern, epts)
         assert np.max(np.abs(res.field.values - orc)) <= res.error_bound
         assert res.provenance["grid_shape"] == [161, 161]
+
+
+# ------------------------------------------- one evaluation per oracle value
+
+def per_iteration_projection_rows(seed):
+    """The projection suite's rows as its per-iteration route made them:
+    the bound taken again for every profile, 4001 eps_B points each."""
+    rng = np.random.default_rng(11 if seed is None else int(seed))
+    B, T, M = 2.0, 1.0, 10
+    a = build_sinc_cosine_approx(B, M)
+    q = frequency_rule(a)
+    ts = np.linspace(-T, T, 41)
+    worst_ratio = 0.0
+    for _ in range(20):
+        f, fhat, f_max = _cosine_profile(rng)
+        vals = discrete_fourier_repr_1d(fhat(B * q.nodes), q, B, ts)
+        err = float(np.max(np.abs(vals - _interval_projection(f, B, ts))))
+        worst_ratio = max(worst_ratio,
+                          err / discrete_repr_error_bound(a, B, T, f_max))
+    rows = [_row("interval projection error within bound (x20)",
+                 1.0, worst_ratio)]
+    spec = TriangleSpec(0.8, 0.7)
+    kern = expsum_kernel(triangle_quadrature(spec, 3, 3,
+                                             target_box=((-W, W), (-W, W))))
+    samples = make_grid([-W, -W], [W, W], [161, 161])
+    s1, s2 = samples.points.T
+    epts = make_grid([-W, -W], [W, W], [21, 21]).points
+    a_vecs = [rng.uniform(-0.6, 0.6, 2) for _ in range(5)]
+    worst2 = 0.0
+    for a_vec, orc in zip(a_vecs, _wedge_projection(spec, W, a_vecs, epts)):
+        res = rlimited_discrete_fourier(SampledField(
+            samples, taper_cosine(a_vec, s1, s2).astype(complex)), kern, epts)
+        err = float(np.max(np.abs(res.field.values - orc)))
+        worst2 = max(worst2, err / res.error_bound)
+    rows.append(_row("region projection error within bound (x5)",
+                     1.0, worst2))
+    return rows
+
+
+def per_iteration_triangle_rows(seed):
+    """The triangle-kernel suite's rows as its per-iteration route made
+    them: k_triangle taken again at every level, 44 calls."""
+    rng = np.random.default_rng(7 if seed is None else int(seed))
+    spec = SPEC
+    xs = rng.uniform(-3, 3, 1000)
+    ys = rng.uniform(-3, 3, 1000)
+    K_full = k_triangle(spec, xs, ys)
+    out = triangle_scaling_refine(spec, xs, ys,
+                                  (k_triangle(spec, xs / 2, ys / 2),
+                                   k_triangle(spec, -xs / 2, ys / 2)))
+    den = np.maximum(np.abs(K_full), 1e-6 * spec.area)
+    rows = [_row("half-argument identity (rel, x1000)", 1e-12,
+                 float(np.max(np.abs(out - K_full) / den)))]
+    q = triangle_quadrature(spec, 3, 3, target_box=((-W, W), (-W, W)))
+    prof = q.provenance["error_profile"]
+    box = prof["box"]
+    GX, GY = np.meshgrid(np.linspace(box[0][0], box[0][1], 101),
+                         np.linspace(box[1][0], box[1][1], 101),
+                         indexing="ij")
+    fine = float(np.max(np.abs(
+        q.eval_sum(np.stack([GX.ravel(), GY.ravel()], axis=-1))
+        - k_triangle(spec, GX.ravel(), GY.ravel()))))
+    rows.append(_row("surrogate within recorded profile (fine regrid)",
+                     1.10 * prof["max_err"], fine))
+    g1 = np.linspace(box[0][0], box[0][1], 41)
+    GX, GY = np.meshgrid(g1, g1, indexing="ij")
+    X, Y = GX.ravel(), GY.ravel()
+    worst_viol, worst_final = -np.inf, 0.0
+    for m in range(1, 6):
+        sc = 2.0 ** m
+        Vp = q.eval_sum(np.stack([X / sc, Y / sc], axis=-1))
+        Vm = q.eval_sum(np.stack([-X / sc, Y / sc], axis=-1))
+        Ep = np.abs(Vp - k_triangle(spec, X / sc, Y / sc))
+        Em = np.abs(Vm - k_triangle(spec, -X / sc, Y / sc))
+        for j in range(1, m + 1):
+            s2 = 2.0 ** (m - j)
+            xj, yj = X / s2, Y / s2
+            Vp_new = triangle_scaling_refine(spec, xj, yj, (Vp, Vm))
+            Vm_new = triangle_scaling_refine(spec, -xj, yj, (Vm, Vp))
+            Ep_new = np.abs(Vp_new - k_triangle(spec, xj, yj))
+            Em_new = np.abs(Vm_new - k_triangle(spec, -xj, yj))
+            worst_viol = max(worst_viol,
+                             float(np.max(Ep_new - 0.25 * (3 * Ep + Em))),
+                             float(np.max(Em_new - 0.25 * (3 * Em + Ep))))
+            Vp, Vm, Ep, Em = Vp_new, Vm_new, Ep_new, Em_new
+        worst_final = max(worst_final, float(Ep.max()))
+    rows.append(_row("refined error within quarter-combination bound",
+                     1e-12 * spec.area, worst_viol))
+    rows.append(_row("refined grid error vs level-0 profile",
+                     prof["max_err"] + 1e-12, worst_final))
+    return rows
+
+
+_BUILDERS = ("equilateral_symmetric_quadrature",
+             "tetra_symmetric_quadrature", "cone_quadrature",
+             "ball_quadrature")
+
+
+def profiled_route_rows(monkeypatch, suite, seed):
+    """A suite's rows with its clouds built at the builders' default
+    profile_grid, so each build measures its error profile again."""
+    with monkeypatch.context() as mp:
+        for name in _BUILDERS:
+            build = getattr(verify, name)
+            mp.setattr(verify, name,
+                       lambda *a, build=build, **kw: build(*a))
+        return suite(seed=seed)
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *a, **kw: calls.append(1) or fn(*a, **kw))
+    return calls
+
+
+def without_runtime(rows):
+    return [r for r in rows if "runtime" not in r["name"]]
+
+
+@pytest.mark.parametrize("seed", [None, 7919])
+def test_projection_and_triangle_rows_match_the_per_iteration_route(seed):
+    assert (without_runtime(verify.check_projection_bounds(seed=seed))
+            == per_iteration_projection_rows(seed))
+    assert (without_runtime(verify.check_triangle_kernel(seed=seed))
+            == per_iteration_triangle_rows(seed))
+
+
+@pytest.mark.parametrize("suite", ["symmetry", "cone-ball"])
+@pytest.mark.parametrize("seed", [None, 7919])
+def test_profile_free_rows_match_the_profiled_route(monkeypatch, suite,
+                                                    seed):
+    check = verify.SUITES[suite]
+    calls = counting(monkeypatch, kernels, "_measured_profile")
+    old = profiled_route_rows(monkeypatch, check, seed)
+    assert len(calls) == 2          # one profile per cloud the suite builds
+    del calls[:]
+    assert check(seed=seed) == old
+    assert calls == []              # no row reads a profile
+
+
+def test_triangle_suite_evaluates_each_closed_form_argument_once(
+        monkeypatch):
+    # 4 calls before the refinement, then (+-X, Y) / 2^e for e = 0..5; the
+    # per-iteration route made 44
+    calls = counting(monkeypatch, verify, "k_triangle")
+    verify.check_triangle_kernel()
+    assert len(calls) <= 16, len(calls)
