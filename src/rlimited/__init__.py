@@ -43,9 +43,9 @@ from .prolate import EigenBasis, pswf_exp_eigensystem, \
 from .projection import expsum_kernel, region_kernel_exact, \
     region_dim, bandlimited_projection_oracle, discrete_fourier_repr_1d, \
     discrete_repr_error_bound, nyquist_delta_train_check, \
-    sampling_interpolation_1d, reconstruction_stability_constant, \
-    rlimited_discrete_fourier, ra_sampling_interpolation, \
-    patched_projection, patched_sample_points, ProjectionResult
+    sampling_interpolation_1d, rlimited_discrete_fourier, \
+    ra_sampling_interpolation, patched_projection, patched_sample_points, \
+    ProjectionResult
 
 __all__ = [
     "sinc", "cosinc", "expc", "power_exp_integral", "PointSet",
@@ -77,7 +77,7 @@ __all__ = [
     "expsum_kernel", "region_kernel_exact", "region_dim",
     "bandlimited_projection_oracle", "discrete_fourier_repr_1d",
     "discrete_repr_error_bound", "nyquist_delta_train_check",
-    "sampling_interpolation_1d", "reconstruction_stability_constant", "rlimited_discrete_fourier",
+    "sampling_interpolation_1d", "rlimited_discrete_fourier",
     "ra_sampling_interpolation", "patched_projection",
     "patched_sample_points", "ProjectionResult",
 ]

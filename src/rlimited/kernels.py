@@ -254,15 +254,16 @@ _CLOUD_JSON = {"weights": (list, "an array"), "nodes": (list, "an array"),
                "error_profile": (dict, "an object")}
 
 
-def _finite_array(v: list, key: str, rows: bool) -> np.ndarray:
+def _finite_array(v: list, key: str, rows: bool,
+                  doc: str = "kernel") -> np.ndarray:
     """v as a float array of finite numbers, or with rows of equal-length
-    arrays of them; ValueError naming key and the first bad entry."""
+    arrays of them; ValueError naming doc's key and the first bad entry."""
     width = len(v[0]) if rows and v and isinstance(v[0], list) else None
     for i, e in enumerate(v):
         if not (isinstance(e, list) and len(e) == width
                 and all(map(_finite, e)) if rows else _finite(e)):
-            raise ValueError("kernel %s must hold %s; entry %d is %r" % (
-                key, "equal-length rows of finite numbers" if rows
+            raise ValueError("%s %s must hold %s; entry %d is %r" % (
+                doc, key, "equal-length rows of finite numbers" if rows
                 else "finite numbers", i, e))
     return np.asarray(v, dtype=float)
 

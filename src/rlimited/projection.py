@@ -26,7 +26,6 @@ __all__ = [
     "region_kernel_exact", "bandlimited_projection_oracle",
     "discrete_fourier_repr_1d", "discrete_repr_error_bound",
     "nyquist_delta_train_check", "sampling_interpolation_1d",
-    "reconstruction_stability_constant",
     "rlimited_discrete_fourier", "ra_sampling_interpolation",
     "patched_projection", "patched_sample_points",
     "needed_base_box", "measure_kernel_profile",
@@ -267,24 +266,6 @@ def sampling_interpolation_1d(f_at_nodes, q: Quadrature1D, B: float, t,
     out, _ = _interpolate(v, kernel, float(B) * (t[..., None, None] - om),
                           basis, regularization, mu_min)
     return _scalar(out)
-
-
-def reconstruction_stability_constant(basis, eps0: float, eps_max: float,
-                       mu_min: float = _MU_MIN) -> float:
-    """Stability constant of the spectrally regularized reconstruction:
-
-    C = sum_n [ 2 B^{-1/2} mu_n^{-3/2} (2B - eps0)
-                + 8 B mu_n^{-2} eps_max ],
-
-    summed over the retained eigenpairs (mu_n >= mu_min), with B the
-    basis band.  Grows fast as mu -> 0, which is exactly why the mu_min
-    floor exists.
-    """
-    B = float(np.atleast_2d(basis.band)[0, 0])
-    mu = np.asarray(basis.eigenvalues_mu, dtype=float)
-    mu = mu[mu >= mu_min]
-    return float(np.sum(2.0 * B ** -0.5 * mu ** -1.5 * (2.0 * B - eps0)
-                        + 8.0 * B * mu ** -2.0 * eps_max))
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Approximate prolate bases from quadrature-discretized operators.
 
-Two discrete eigensystems produce the same concentrated functions: the
-exponential system (a scaled Fourier matrix over the rule's nodes) and the
-kernel system (the sinc or region-kernel Gram matrix).  Eigenvalues mu
-live in (0, 1] and measure energy concentration; lambda are the Fourier
-eigenvalues with mu = B |lambda|^2 in 1D and mu = |det B| |lambda|^2 in ND.
+In 1D two discrete eigensystems produce the same concentrated functions:
+the exponential system (a scaled Fourier matrix over the rule's nodes) and
+the kernel system (the sinc Gram matrix).  ND has one solver, the cloud's
+own Gram, for any cloud and any nonsingular band.  Eigenvalues mu live in
+(0, 1] and measure energy concentration; lambda are the Fourier
+eigenvalues with mu = B |lambda|^2 in 1D, magnitudes only in ND.
 """
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from .numkit import _scalar, sinc
-from .moments import Quadrature1D
-from .kernels import (QuadratureND, region_kernel_exact, region_to_json,
+from .moments import Quadrature1D, _finite
+from .kernels import (QuadratureND, _finite_array, region_to_json,
                       region_from_json)
 
 _TIE_TOL = 1e-10
@@ -25,17 +26,13 @@ _MIRROR_TOL = 1e-14  # relative; a symmetric rule's nodes and weights
 _REBUILD = "; rebuild the basis with `rlimited pswf`"
 
 
-def _identity(v):
-    return v
-
-
 @dataclass
 class EigenBasis:
     """Eigenpairs of one discretized concentration operator.
 
     eigenvectors holds phi_n sampled at the rule's nodes, one unit-norm
     column per n, ordered by descending mu with deterministic tie-breaks.
-    kind is "exp_system" or "kernel_system".
+    kind is "exp_system" or "kernel_system"; ND bases are kernel systems.
     """
     eigenvalues_mu: np.ndarray
     eigenvalues_lambda: np.ndarray
@@ -84,27 +81,23 @@ def _positive_weights(weights) -> np.ndarray:
     return w
 
 
-def _solve(blocks, scale: float, quadrature, band, hermitian: bool,
+def _solve(blocks, scale: float, quadrature, band, kernel_system: bool,
            extra_provenance: dict) -> EigenBasis:
-    """Eigenpairs of weight-symmetrized blocks, mapped back to node values.
+    """Eigenpairs of weight-symmetrized Hermitian blocks, by eigh.
 
     Each block (M_hat, d, unit, lift) holds M_hat = D M D^{-1}, D = diag(d),
     on one invariant subspace; lift takes its values psi / d to all nodes.
-    hermitian: eigh gives mu directly and lambda = sqrt(mu / scale) in
-    magnitude (kernel system); otherwise lambda = unit * eigenvalue, by eigh
-    for a real symmetric block or eig for a complex symmetric one, and
-    mu = scale |lambda|^2 (exponential system).  A top mu more than
-    _MU_EXCESS_TOL above 1 raises ValueError: the rule under-resolves the
-    band.
+    kernel_system: the eigenvalues are mu, and lambda = sqrt(mu / scale) in
+    magnitude; otherwise lambda = unit * eigenvalue of a real symmetric
+    block and mu = scale |lambda|^2 (exponential system).  A top mu more
+    than _MU_EXCESS_TOL above 1 raises ValueError: the rule under-resolves
+    the band.
     """
     mus, lams, vecs = [], [], []
     for M_hat, d, unit, lift in blocks:
-        if hermitian or not np.iscomplexobj(M_hat):
-            ev, psi = np.linalg.eigh(M_hat)
-            ev, psi = ev[::-1].copy(), psi[:, ::-1].copy()
-        else:
-            ev, psi = np.linalg.eig(M_hat)
-        if hermitian:
+        ev, psi = np.linalg.eigh(M_hat)
+        ev, psi = ev[::-1].copy(), psi[:, ::-1].copy()
+        if kernel_system:
             mu, lam = ev, np.sqrt(np.maximum(ev, 0.0) / scale)
         else:
             lam = unit * ev + 0.0  # + 0.0 drops the -0.0 real parts of 1j * ev
@@ -120,11 +113,11 @@ def _solve(blocks, scale: float, quadrature, band, hermitian: bool,
                          % (mu[0], _MU_EXCESS_TOL))
     prov = {"degenerate_blocks": _degenerate_blocks(mu),
             "n_nodes": len(vecs), **extra_provenance}
-    if hermitian:
+    if kernel_system:
         prov["lambda_magnitude_only"] = True
     return EigenBasis(eigenvalues_mu=mu, eigenvalues_lambda=lam,
                       eigenvectors=vecs, quadrature=quadrature, band=band,
-                      kind="kernel_system" if hermitian else "exp_system",
+                      kind="kernel_system" if kernel_system else "exp_system",
                       provenance=prov)
 
 
@@ -152,7 +145,7 @@ def _half_rule(q: Quadrature1D, hint: str = ""):
 
 
 def _parity_solve(q: Quadrature1D, B: float, kernels,
-                  hermitian: bool) -> EigenBasis:
+                  kernel_system: bool) -> EigenBasis:
     """Both 1D systems commute with the reflection w -> -w of a mirror rule,
     so they split into an even and an odd block over the half-rule p > 0
     with d = sqrt(a).  kernels(p) gives the two blocks' node kernels; the
@@ -171,7 +164,7 @@ def _parity_solve(q: Quadrature1D, B: float, kernels,
               ((dd * odd)[z:, z:], d[z:], 1j,
                lambda v: np.concatenate([-v[::-1], np.zeros((z, v.shape[1])),
                                          v]))]
-    return _solve(blocks, B, q, float(B), hermitian, {})
+    return _solve(blocks, B, q, float(B), kernel_system, {})
 
 
 def pswf_exp_eigensystem(q: Quadrature1D, B: float) -> EigenBasis:
@@ -276,50 +269,32 @@ def extend_prolate(ev: ProlateEvaluator, n: int, t, mu_min: float = 1e-8):
 # ND region eigensystems
 
 
-def rslepian_exp_eigensystem(kernel: QuadratureND) -> EigenBasis:
-    """ND exponential system over the kernel's own node cloud.
-
-    E[l,m] = w_m e^{i 2 pi (B k_m) . k_l} with the base weights w and the
-    kernel's band B; the eigenvalue relation becomes
-    mu = |det B| |lambda|^2.  B must be symmetric so the
-    weight-symmetrized matrix is complex symmetric.
-    """
-    Bm = kernel.band
-    if not np.allclose(Bm, Bm.T, atol=1e-12 * max(1.0, np.abs(Bm).max())):
-        raise ValueError("exponential eigensystem needs symmetric band")
-    w = _positive_weights(kernel.base_weights())
-    nodes = kernel.nodes
-    d = np.sqrt(w)
-    phase = 2j * np.pi * (nodes @ Bm.T @ nodes.T).T
-    A_hat = d[:, None] * d[None, :] * np.exp(phase)
-    det = kernel.det_band()
-    return _solve([(A_hat, d, 1, _identity)], det, kernel, Bm, False,
-                  {"det_band": det})
-
-
 def rslepian_kernel_eigensystem(kernel: QuadratureND) -> EigenBasis:
-    """ND kernel system S[l,m] = w_m |det B| K_R(B (k_l - k_m)) with the
-    kernel's band B.
+    """ND concentration eigensystem over the kernel's own node cloud, for
+    any cloud and any nonsingular band B.
 
-    The weight-symmetrized matrix is Hermitian PSD (real for symmetric
-    regions); eigh returns the concentration eigenvalues mu directly.
+    With base weights w, d = sqrt(w) and
+    A_hat[l,m] = d_l d_m e^{i 2 pi k_l . B k_m}, the Hermitian PSD Gram
+    S_hat = |det B| A_hat A_hat^H is D S D^{-1} for the cloud's own kernel
+    matrix S[l,m] = w_m sum_j |det B| w_j e^{i 2 pi (B k_j).(k_l - k_m)},
+    which stands in for w_m |det B| K_R(B^T (k_l - k_m)).  eigh gives mu
+    directly, with eigenvectors orthonormal in the weights; lambda is the
+    magnitude sqrt(mu / |det B|) only.
     """
-    Bm = kernel.band
-    w = _positive_weights(kernel.base_weights())
-    nodes = kernel.nodes
+    d = np.sqrt(_positive_weights(kernel.base_weights()))
+    k = kernel.nodes
+    A_hat = np.outer(d, d) * np.exp(2j * np.pi * (k @ kernel.band @ k.T))
     det = kernel.det_band()
-    diffs = (nodes[:, None, :] - nodes[None, :, :]) @ Bm.T
-    K = np.asarray(region_kernel_exact(kernel.region,
-                                       diffs.reshape(-1, nodes.shape[1])),
-                   dtype=complex).reshape(len(nodes), len(nodes))
-    d = np.sqrt(w)
-    S_hat = det * d[:, None] * d[None, :] * K
-    herm_defect = float(np.max(np.abs(S_hat - S_hat.conj().T)))
-    S_hat = 0.5 * (S_hat + S_hat.conj().T)
-    if np.max(np.abs(S_hat.imag)) <= 1e-12 * max(1.0, np.max(np.abs(S_hat))):
-        S_hat = S_hat.real
-    return _solve([(S_hat, d, 1, _identity)], det, kernel, Bm, True,
-                  {"det_band": det, "hermitian_defect": herm_defect})
+    return _solve([(det * (A_hat @ A_hat.conj().T), d, 1, lambda v: v)], det,
+                  kernel, kernel.band, True, {"det_band": det})
+
+
+def rslepian_exp_eigensystem(kernel: QuadratureND) -> EigenBasis:
+    """rslepian_kernel_eigensystem's basis: the ND exponential system
+    A_hat = D E D^{-1}, E[l,m] = w_m e^{i 2 pi (B k_m) . k_l}, has
+    mu = |det B| |lambda|^2 only where it is normal (centrally symmetric
+    clouds), but mu = |det B| sigma^2, sigma its singular values, always."""
+    return rslepian_kernel_eigensystem(kernel)
 
 
 # --------------------------------------------------------------------------
@@ -333,11 +308,16 @@ def _c_to_json(a: np.ndarray):
     return {"re": a.tolist()}
 
 
-def _c_from_json(d) -> np.ndarray:
-    re = np.asarray(d["re"], dtype=float)
-    if "im" in d:
-        return re + 1j * np.asarray(d["im"], dtype=float)
-    return re
+def _c_from_json(d: dict, key: str, rows: bool) -> np.ndarray:
+    """_c_to_json's {"re", "im"} layout, im optional; ValueError naming key
+    unless each part is an array of finite numbers (or of rows of them)."""
+    parts = [d.get("re")] + ([d["im"]] if "im" in d else [])
+    if not all(isinstance(v, list) for v in parts):
+        raise ValueError("eigenbasis %s must hold arrays re and im" % key)
+    re, *im = (_finite_array(v, key, rows, "eigenbasis") for v in parts)
+    if im and im[0].shape != re.shape:
+        raise ValueError("eigenbasis %s re and im differ in shape" % key)
+    return re + 1j * im[0] if im else re
 
 
 def eigenbasis_to_json(b: EigenBasis) -> dict:
@@ -358,25 +338,52 @@ def eigenbasis_to_json(b: EigenBasis) -> dict:
     return doc
 
 
+# the JSON type of each eigenbasis key; all but provenance are required,
+# and region in ND, where band is an array of rows, not a number
+_BASIS_JSON = {"kind": (str, "a string"), "mu": (list, "an array"),
+               "lambda": (dict, "an object"),
+               "eigenvectors": (dict, "an object"),
+               "nodes": (list, "an array"), "weights": (list, "an array"),
+               "band": ((int, float, list),
+                        "a finite number > 0 or an array of rows"),
+               "provenance": (dict, "an object")}
+
+
 def eigenbasis_from_json(d: dict) -> EigenBasis:
     """Rebuild the eigenpairs with their rule: a Quadrature1D for 1D
-    documents, the banded node cloud for ND ones."""
-    band = d["band"]
-    band = np.asarray(band, dtype=float) if isinstance(band, list) \
-        else float(band)
-    nodes = np.asarray(d["nodes"], dtype=float)
-    if nodes.ndim == 1:
-        q = Quadrature1D(weights=np.asarray(d["weights"], dtype=float),
-                         nodes=nodes, band=float(np.atleast_1d(band)[0]),
+    documents, the banded node cloud for ND ones.  ValueError, naming the
+    key, for a document that is not an object, a key missing or of the
+    wrong JSON type, a 1D band that is not a finite number > 0, an array
+    entry that is not a finite number (or a row of them), or eigenpair
+    arrays whose shapes do not fit mu and the nodes."""
+    if not isinstance(d, dict):
+        raise ValueError("eigenbasis must be a JSON object, not %s"
+                         % type(d).__name__)
+    for key, (kind, name) in _BASIS_JSON.items():
+        if key not in d and key != "provenance":
+            raise ValueError("eigenbasis has no %r key" % key)
+        v = d.get(key, {})
+        if not isinstance(v, kind) or key == "band" and not (
+                isinstance(v, list) or _finite(v) and v > 0):
+            raise ValueError("eigenbasis %s must be %s: %r" % (key, name, v))
+    def arr(key, rows):
+        return _finite_array(d[key], key, rows, "eigenbasis")
+    nd = isinstance(d["band"], list)
+    band = arr("band", True) if nd else float(d["band"])
+    weights, nodes = arr("weights", False), arr("nodes", nd)
+    if nd:
+        q = QuadratureND(weights=weights, nodes=nodes,
+                         region=region_from_json(d.get("region")), band=band)
+    else:
+        q = Quadrature1D(weights=weights, nodes=nodes, band=band,
                          symmetric=True)
         _half_rule(q, _REBUILD)
-    else:
-        q = QuadratureND(weights=np.asarray(d["weights"], dtype=float),
-                         nodes=nodes, region=region_from_json(d["region"]),
-                         band=band)
-    return EigenBasis(eigenvalues_mu=np.asarray(d["mu"], dtype=float),
-                      eigenvalues_lambda=_c_from_json(d["lambda"]),
-                      eigenvectors=_c_from_json(d["eigenvectors"]),
-                      quadrature=q, band=band, kind=d["kind"],
-                      provenance=dict(d.get("provenance", {})))
-
+    mu = arr("mu", False)
+    lam = _c_from_json(d["lambda"], "lambda", False)
+    vecs = _c_from_json(d["eigenvectors"], "eigenvectors", True)
+    if lam.shape != mu.shape or vecs.shape != (len(nodes), len(mu)):
+        raise ValueError("eigenbasis needs one lambda per mu, and "
+                         "eigenvectors with a row per node, a column per mu")
+    return EigenBasis(eigenvalues_mu=mu, eigenvalues_lambda=lam,
+                      eigenvectors=vecs, quadrature=q, band=band,
+                      kind=d["kind"], provenance=dict(d.get("provenance", {})))

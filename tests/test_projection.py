@@ -282,19 +282,6 @@ def test_interpolation_input_guards(freq_rule):
         P.sampling_interpolation_1d(bad, freq_rule, B, t)
 
 
-def test_stability_constant(freq_rule):
-    basis = PR.pswf_kernel_eigensystem(freq_rule, B)
-    c_all = P.reconstruction_stability_constant(basis, 0.1, 0.2, mu_min=1e-6)
-    mu = basis.eigenvalues_mu
-    mu = mu[mu >= 1e-6]
-    want = float(np.sum(2 * B ** -0.5 * mu ** -1.5 * (2 * B - 0.1)
-                        + 8 * B * mu ** -2.0 * 0.2))
-    assert c_all == want
-    # keeping fewer (better-conditioned) modes can only shrink the constant
-    c_strict = P.reconstruction_stability_constant(basis, 0.1, 0.2, mu_min=1e-2)
-    assert 0 < c_strict < c_all
-
-
 @pytest.mark.parametrize("regularization", ["direct", "kernel", "spectral"])
 def test_ra_reduces_to_1d_interpolation(freq_rule, regularization):
     kern = P.expsum_kernel(freq_rule)

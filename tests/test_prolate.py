@@ -354,7 +354,6 @@ def test_rslepian_triangle_trace_identity():
     area = K.TriangleSpec(0.8, 0.7).area
     want = area * kern.base_weights().sum()
     assert abs(basis.eigenvalues_mu.sum() - want) < 1e-12
-    assert basis.provenance["hermitian_defect"] < 1e-12
 
 
 def _order_and_fix_by_column(mu, lam, vecs):
@@ -388,12 +387,50 @@ def test_order_and_fix_matches_column_loop_bitwise():
             assert g.tobytes() == w.tobytes()
 
 
-def test_rslepian_rejects_asymmetric_band(freq_rule):
-    tq = K.triangle_quadrature(K.TriangleSpec(0.8, 0.7), 3, 3,
+def _weighted_gram_defect(basis):
+    """Largest off-diagonal entry of the unit-diagonal Gram V^H diag(w) V
+    of the eigenvectors in the cloud's base weights."""
+    v = basis.eigenvectors
+    g = v.conj().T @ (basis.quadrature.base_weights()[:, None] * v)
+    d = np.sqrt(np.abs(np.diag(g)))
+    g = np.abs(g) / np.outer(d, d)
+    np.fill_diagonal(g, 0.0)
+    return float(g.max())
+
+
+def test_rslepian_matches_the_closed_form_gram():
+    # the oracle: w_m |det B| K_R(B^T (k_l - k_m)) from the wedge's closed
+    # form, weight-symmetrized; the target box makes the cloud's profile
+    # cover every offset the Gram forms.  The triangle cloud is not
+    # centrally symmetric, and the last band is not symmetric
+    tq = K.triangle_quadrature(K.TriangleSpec(0.8, 0.7), 4, 4,
+                               target_box=((-1.5, 1.5),) * 2, profile_grid=0)
+    for band in (np.eye(2), np.array([[1.2, 0.3], [0.3, 0.8]]),
+                 np.array([[1.0, 0.5], [0.0, 1.0]])):
+        kern = expsum_kernel(tq, band=band)
+        d = np.sqrt(kern.base_weights())
+        offsets = (kern.nodes[:, None, :] - kern.nodes[None, :, :]) @ band
+        gram = np.asarray(K.region_kernel_exact(kern.region, offsets))
+        want = np.linalg.eigvalsh(kern.det_band() * d[:, None] * d[None, :]
+                                  * gram)[::-1]
+        for solve in (P.rslepian_exp_eigensystem,
+                      P.rslepian_kernel_eigensystem):
+            basis = solve(kern)
+            assert basis.kind == "kernel_system"
+            assert np.max(np.abs(basis.eigenvalues_mu - want)) <= 1e-13
+            assert _weighted_gram_defect(basis) <= 1e-12
+
+
+@pytest.mark.parametrize("b", [6.0, 9.0])
+def test_rslepian_landau_count(b):
+    # Landau: about |R| |b R| = b^2 |R|^2 concentration ratios exceed 1/2
+    spec = K.TriangleSpec(1.0, 0.5)
+    tq = K.triangle_quadrature(spec, 2, 2, target_box=((-b / 2, b / 2),) * 2,
                                profile_grid=0)
-    kern = expsum_kernel(tq, band=np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        P.rslepian_exp_eigensystem(kern)
+    kern = expsum_kernel(tq, band=b * np.eye(2))
+    basis = P.rslepian_kernel_eigensystem(kern)
+    count = int(np.sum(basis.eigenvalues_mu > 0.5))
+    assert abs(count - b * b * spec.area ** 2) <= 2
 
 
 def test_eigenbasis_json_round_trip(exp_basis):
@@ -419,6 +456,42 @@ def test_eigenbasis_json_round_trip(exp_basis):
         want = P.extend_prolate(P.ProlateEvaluator(exp_basis), n, t)
         got = P.extend_prolate(P.ProlateEvaluator(legacy), n, t)
         assert got.tobytes() == want.tobytes(), n
+
+
+def _nd_doc():
+    tq = K.triangle_quadrature(K.TriangleSpec(0.8, 0.7), 3, 3,
+                               profile_grid=0)
+    kern = expsum_kernel(tq, band=np.array([[1.0, 0.5], [0.0, 1.0]]))
+    return P.eigenbasis_to_json(P.rslepian_kernel_eigensystem(kern))
+
+
+_SHAPE = "column per mu|re and im differ"
+
+
+@pytest.mark.parametrize("nd", [False, True], ids=["1d", "nd"])
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d["weights"].__setitem__(0, None),
+     "eigenbasis weights must hold finite numbers"),
+    (lambda d: d.update(band=0),
+     "eigenbasis band must be a finite number > 0"),
+    (lambda d: d.update(mu=5), "eigenbasis mu must be an array"),
+    (lambda d: d.update(kind=7), "eigenbasis kind must be a string"),
+    (lambda d: d.update(provenance=5),
+     "eigenbasis provenance must be an object"),
+    (lambda d: d.update(mu=d["mu"][:3]), _SHAPE),
+    (lambda d: d["lambda"].update(re=d["lambda"]["re"][:3]), _SHAPE),
+    (lambda d: d["eigenvectors"].update(
+        re=[r[:3] for r in d["eigenvectors"]["re"]]), _SHAPE)],
+    ids=["weights-null", "band-0", "mu-int", "kind-int", "provenance-int",
+         "mu-short", "lambda-short", "eigenvectors-narrow"])
+def test_eigenbasis_from_json_names_the_bad_key(ker_basis, nd, mutate,
+                                                message):
+    doc = json.loads(json.dumps(_nd_doc() if nd
+                                else P.eigenbasis_to_json(ker_basis)))
+    P.eigenbasis_from_json(doc)
+    mutate(doc)
+    with pytest.raises(ValueError, match=message):
+        P.eigenbasis_from_json(doc)
 
 
 def test_nd_eigenbasis_json_round_trip():
