@@ -22,7 +22,7 @@ from .moments import MomentSequence, Quadrature1D, preset_moments, \
     uniform_rule, symmetrize, verify_moments
 from .sincapprox import CosineSumApprox, build_sinc_cosine_approx, \
     eval_cosine_sum, error_epsilon_B, reduction_level, periodic_sinc, \
-    uniform_max_error, scaling_multiplier, scale_general, ChirpletApprox, \
+    uniform_max_error, scaling_multiplier, ChirpletApprox, \
     build_chirplet_approx, eval_chirplet_sum, symmetric_sinc_rule, \
     one_sided_unit_rule, frequency_rule
 from .kernels import Region, TriangleSpec, TetraSpec, ConeSpec, \
@@ -30,7 +30,7 @@ from .kernels import Region, TriangleSpec, TetraSpec, ConeSpec, \
     cone_region, ball_region, transformed_region, union_region, \
     region_contains, equilateral_spec, sub_triangle_spec, \
     regular_tetra_spec, sub_tetra_spec, k_triangle, \
-    triangle_scaling_refine, triangle_scaling_invert, triangle_quadrature, \
+    triangle_scaling_refine, triangle_quadrature, \
     equilateral_symmetric_quadrature, k_tetra, tetra_quadrature, \
     tetra_symmetry_group, tetra_symmetric_quadrature, tetra_contains, \
     rotation_matrix, TETRA_VERTICES, k_cone, tilde_k_cone, cone_ls_error, \
@@ -55,7 +55,7 @@ __all__ = [
     "uniform_rule", "symmetrize", "verify_moments",
     "CosineSumApprox", "build_sinc_cosine_approx", "eval_cosine_sum",
     "error_epsilon_B", "reduction_level", "periodic_sinc",
-    "uniform_max_error", "scaling_multiplier", "scale_general",
+    "uniform_max_error", "scaling_multiplier",
     "ChirpletApprox", "build_chirplet_approx", "eval_chirplet_sum",
     "symmetric_sinc_rule", "one_sided_unit_rule", "frequency_rule",
     "Region", "TriangleSpec", "TetraSpec", "ConeSpec", "QuadratureND",
@@ -64,7 +64,7 @@ __all__ = [
     "region_contains",
     "equilateral_spec", "sub_triangle_spec", "regular_tetra_spec",
     "sub_tetra_spec", "k_triangle", "triangle_scaling_refine",
-    "triangle_scaling_invert", "triangle_quadrature",
+    "triangle_quadrature",
     "equilateral_symmetric_quadrature", "k_tetra", "tetra_quadrature",
     "tetra_symmetry_group", "tetra_symmetric_quadrature", "tetra_contains",
     "rotation_matrix", "TETRA_VERTICES", "k_cone", "tilde_k_cone",

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -280,7 +281,10 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main call and kept: parsing
+    leaves it unchanged, and each parse starts from its defaults."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", help="output directory")
     gridded = argparse.ArgumentParser(add_help=False, parents=[common])
@@ -307,14 +311,12 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--omega0", type=float, default=1.0)
     q.add_argument("--pmax", type=float, default=1.0)
     q.add_argument("--kmax", type=float, default=1.0)
-    q.set_defaults(func=cmd_quad)
 
     a = sub.add_parser("approx-sinc", parents=[gridded],
                        help="cosine or chirplet expansion of the sinc")
     a.add_argument("--B0", type=float, default=20.0)
     a.add_argument("--M", type=int, default=6)
     a.add_argument("--chirplet", action="store_true")
-    a.set_defaults(func=cmd_approx_sinc)
 
     w = sub.add_parser("pswf", parents=[common],
                        help="concentration eigensystem on a rule")
@@ -322,7 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--M", type=int, default=10)
     w.add_argument("--kind", choices=["exp", "kernel"], default="kernel")
     w.add_argument("--uniform", action="store_true")
-    w.set_defaults(func=cmd_pswf)
 
     k = sub.add_parser("kernel-eval", parents=[gridded],
                        help="closed-form kernel field on a grid")
@@ -334,13 +335,11 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("--pmax", type=float, default=1.0)
     k.add_argument("--kmax", type=float, default=1.0)
     k.add_argument("--extent", type=float, default=1.0)
-    k.set_defaults(func=cmd_kernel_eval)
 
     j = sub.add_parser("project", parents=[gridded],
                        help="apply an exponential-sum kernel to a field")
     j.add_argument("--field", required=True, help="input SampledField CSV")
     j.add_argument("--kernel", required=True, help="kernel JSON")
-    j.set_defaults(func=cmd_project)
 
     v = sub.add_parser("verify", parents=[gridded],
                        help="run the release-gate suites")
@@ -351,15 +350,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="extra relative slack for verify bounds")
     v.add_argument("--seed", type=int, default=None,
                    help="seed for generated test data")
-    v.set_defaults(func=cmd_verify)
     return p
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a rebound cmd_* (a wrapper) is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         os.makedirs(args.out, exist_ok=True)
-        return args.func(args)
+        return command(args)
     except (ValueError, KeyError, OSError, OverflowError,
             json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -371,23 +371,46 @@ _KINDS = {
 }
 
 
+_STACK = 1 << 15        # stacked points per row call of a union's parts
+
+
 def _evaluate(r: Region, pts: np.ndarray, column: str, *tol):
     """Column "contains" (slack tol) or "kernel" of r's row at the rows of
     pts, through the one unwrap step: a transform A tests A^-1 k and scales
-    the kernel to |det A| K(A^T x); a union ors masks and sums kernels."""
-    A = r.transform_matrix()
-    if A is not None:
-        base = replace(r, transform=None)
-        if column == "contains":
-            return _evaluate(base, pts @ np.linalg.inv(A).T, column, *tol)
-        return abs(float(np.linalg.det(A))) * _evaluate(base, pts @ A, column)
+    the kernel to |det A| K(A^T x); a union ors masks and sums kernels in
+    part order.  The parts that share a base region (a union's rotated
+    copies) go through one call of its row on their stacked mapped points,
+    as many parts per call as keep the stack within _STACK points (one
+    part at least); every row is elementwise, so each part's values keep
+    their bits."""
     dtype = complex if column == "kernel" else bool
-    if r.kind == "union":
-        return sum((_evaluate(part, pts, column, *tol) for part in r.parts),
-                   np.zeros(len(pts), dtype=dtype))  # on masks + is or
-    row = _KINDS[r.kind]
-    values = map(r.param, row.params)
-    return np.asarray(getattr(row, column)(pts, *tol, *values), dtype=dtype)
+    union = r.kind == "union" and r.transform is None
+    parts = r.parts if union else (r,)
+    groups = {}
+    for i, part in enumerate(parts):
+        groups.setdefault(replace(part, transform=None), []).append(i)
+    per = max(1, _STACK // max(len(pts), 1))    # parts per row call
+    values, done = {}, 0
+    total = np.zeros(len(pts), dtype=dtype)
+    for base, idx in [(b, run[j:j + per]) for b, run in groups.items()
+                      for j in range(0, len(run), per)]:
+        mats = [parts[i].transform_matrix() for i in idx]
+        maps = [pts if A is None else pts @ A if column == "kernel"
+                else pts @ np.linalg.inv(A).T for A in mats]
+        if base.kind == "union":    # a transformed union: unwrap it
+            out = [_evaluate(base, x, column, *tol) for x in maps]
+        else:
+            row = _KINDS[base.kind]
+            out = np.asarray(getattr(row, column)(
+                np.concatenate(maps), *tol, *map(base.param, row.params)),
+                dtype=dtype).reshape(len(idx), len(pts))
+        for i, A, v in zip(idx, mats, out):
+            values[i] = (v if A is None or column == "contains"
+                         else abs(float(np.linalg.det(A))) * v)
+        while union and done in values:   # summed as soon as it is next
+            total += values.pop(done)      # on masks + is or
+            done += 1
+    return total if union else values[0]
 
 
 def region_contains(r: Region, points, tol: float = 1e-9) -> np.ndarray:
@@ -484,30 +507,6 @@ def triangle_scaling_refine(spec: TriangleSpec, x, y, value_pair):
     p = 1.0 + 2.0 * np.exp(1j * np.pi * spec.dp * x) * c
     q = np.exp(2j * np.pi * spec.dp * x)
     return 0.25 * (np.asarray(v1) * p + q * np.asarray(v2))
-
-
-def triangle_scaling_invert(spec: TriangleSpec, m: int, x, y, value_pair):
-    """One level down: V_{m-1}(x,y) from (V_m(x,y), V_m(-x,y)) where
-    V_m(x,y) = K(2^m x, 2^m y).
-
-    Inverts the 2x2 refinement system; its determinant
-    4c(c + cos(pi dp 2^m x)), c = cos(pi dp s 2^m y), must stay away from
-    zero (|det|/4 <= 1e-8 raises).
-    """
-    vm_p = np.asarray(value_pair[0], dtype=complex)
-    vm_m = np.asarray(value_pair[1], dtype=complex)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    X = (2.0 ** m) * x
-    c = np.cos(np.pi * spec.dp * spec.s * (2.0 ** m) * y)
-    e1 = np.exp(1j * np.pi * spec.dp * X)
-    p = 1.0 + 2.0 * e1 * c
-    q = e1 * e1
-    det = np.abs(p) ** 2 - 1.0  # |q| = 1
-    if np.any(np.abs(det) <= 4e-8):
-        raise ValueError("refinement inversion singular: cosine denominator "
-                         "within 1e-8 of zero at a requested point")
-    return (np.conj(p) * vm_p - q * vm_m) * (4.0 / det)
 
 
 # --------------------------------------------------------------------------

@@ -254,13 +254,14 @@ def read_field_csv(path, label: str = "") -> SampledField:
 
 # ---------------------------------------------------------------- artifacts
 # Artifacts are indent-2 JSON with shortest-repr floats (the text json.dump
-# writes) and %.17g CSV.  Both are filled into %s-templates, one call per
-# block of numbers, from _float_texts, which spells each distinct float64 bit
-# pattern once.  The spelling is a numpy kernel, not CPython's formatter, but
-# the bytes are the same: every text it writes is proven equal to CPython's
-# repr or %.17g, and every value it cannot prove so (zeros, non-finite
-# values, exact ties, Ryu's trailing-zero cases, ...) is formatted by
-# CPython itself, one at a time.
+# writes) and %.17g CSV.  A document is one %s-template, filled from one
+# _float_texts call over every float list of a JSON document or every cell
+# of a CSV body, so the call's fixed cost is paid once per document;
+# _float_texts spells each distinct float64 bit pattern once.  The spelling
+# is a numpy kernel, not CPython's formatter, but the bytes are the same:
+# every text it writes is proven equal to CPython's repr or %.17g, and every
+# value it cannot prove so (zeros, non-finite values, exact ties, Ryu's
+# trailing-zero cases, ...) is formatted by CPython itself, one at a time.
 #
 # Digits come from Ryu (Adams, "Ryu: fast float-to-string conversion", PLDI
 # 2018): x = mv 2^e2 with mv = 4 m2, and 125-bit powers of five give
@@ -528,14 +529,18 @@ def dumps_json(doc) -> str:
     scalars are read as Python values and complex numbers as [re, im].
 
     A list of finite floats, or of equal-length rows of them, is spelled
-    as float.__repr__ spells it (which json uses as well), each distinct
-    value once (see _float_texts); other values are spelled element by
-    element the way json spells them.  Unsupported types raise json's
-    TypeError.
+    as float.__repr__ spells it (which json uses as well); every such list
+    of the document goes through one _float_texts call, which spells each
+    distinct value once.  Other values are spelled element by element the
+    way json spells them.  Unsupported types raise json's TypeError.
     """
-    out = []
-    _put_json(doc, 0, out)
-    return "".join(out)
+    out, flat = [], []
+    _put_json(doc, 0, out, flat)
+    template = "".join(out)   # literal "%" doubled, each float list's as %s
+    del out
+    texts = tuple(_float_texts(flat, "%r"))
+    del flat
+    return template % texts
 
 
 def _json_atom(v):
@@ -564,14 +569,21 @@ def _finite_floats(seq) -> bool:
     return set(map(type, seq)) == {float} and math.isfinite(sum(seq))
 
 
-def _put_json(obj, level, out) -> None:
+def _template_str(s: str) -> str:
+    """json's spelling of s, with "%" doubled for the final fill."""
+    return _json_str(s).replace("%", "%%")
+
+
+def _put_json(obj, level, out, flat) -> None:
+    """Append obj's template text to out and its float-list values to
+    flat, in the order of their %s slots."""
     atom = _json_atom(obj)
     if atom is not None:
         out.append(atom)
     elif isinstance(obj, str):
-        out.append(_json_str(obj))
+        out.append(_template_str(obj))
     elif isinstance(obj, (list, tuple)):
-        _put_json_list(obj, level, out)
+        _put_json_list(obj, level, out, flat)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -583,43 +595,44 @@ def _put_json(obj, level, out) -> None:
             if key is None:
                 raise TypeError("keys must be str, int, float, bool or None, "
                                 "not %s" % type(k).__name__)
-            out.append(sep + _json_str(key) + ": ")
+            out.append(sep + _template_str(key) + ": ")
             sep = "," + nl
-            _put_json(v, level + 1, out)
+            _put_json(v, level + 1, out, flat)
         out.append("\n" + "  " * level + "}")
     elif isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
             obj = np.stack([obj.real, obj.imag], axis=-1)
-        _put_json(obj.tolist(), level, out)
+        _put_json(obj.tolist(), level, out, flat)
     elif isinstance(obj, (np.floating, np.integer)):
-        _put_json(obj.item(), level, out)
+        _put_json(obj.item(), level, out, flat)
     elif isinstance(obj, complex):
-        _put_json([obj.real, obj.imag], level, out)
+        _put_json([obj.real, obj.imag], level, out, flat)
     else:
         raise TypeError("Object of type %s is not JSON serializable"
                         % type(obj).__name__)
 
 
-def _put_json_list(lst, level, out) -> None:
+def _put_json_list(lst, level, out, flat) -> None:
     if not lst:
         out.append("[]")
         return
     nl0 = "\n" + "  " * level
     nl1 = nl0 + "  "
-    flat, item = lst, "%s"
+    values, item = lst, "%s"
     m = len(lst[0]) if isinstance(lst[0], (list, tuple)) else 0
     if m and set(map(type, lst)) <= {list, tuple} \
             and set(map(len, lst)) == {m}:
         nl2 = nl1 + "  "
-        flat = list(chain.from_iterable(lst))
+        values = list(chain.from_iterable(lst))
         item = "[" + nl2 + ("%s," + nl2) * (m - 1) + "%s" + nl1 + "]"
-    if _finite_floats(flat):  # finite floats, or equal-length rows of them
-        block = "[" + nl1 + ("," + nl1).join([item] * len(lst)) + nl0 + "]"
-        out.append(block % tuple(_float_texts(flat, "%r")))
+    if _finite_floats(values):  # finite floats, or equal-length rows of them
+        out.append("[" + nl1 + ("," + nl1).join([item] * len(lst)) + nl0
+                   + "]")
+        flat.extend(values)
         return
     sep = "[" + nl1
     for v in lst:
         out.append(sep)
         sep = "," + nl1
-        _put_json(v, level + 1, out)
+        _put_json(v, level + 1, out, flat)
     out.append(nl0 + "]")

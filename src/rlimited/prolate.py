@@ -280,13 +280,23 @@ def rslepian_kernel_eigensystem(kernel: QuadratureND) -> EigenBasis:
     which stands in for w_m |det B| K_R(B^T (k_l - k_m)).  eigh gives mu
     directly, with eigenvectors orthonormal in the weights; lambda is the
     magnitude sqrt(mu / |det B|) only.
+
+    The stand-in holds where the cloud's profile does: the provenance
+    records how far the offsets B^T (k_l - k_m) reach on each axis
+    (gram_offset_reach) next to the box of the recorded profile
+    (profile_box, None without one).  A reach past the box is recorded,
+    not refused.
     """
     d = np.sqrt(_positive_weights(kernel.base_weights()))
     k = kernel.nodes
     A_hat = np.outer(d, d) * np.exp(2j * np.pi * (k @ kernel.band @ k.T))
     det = kernel.det_band()
+    reach = np.ptp(k @ kernel.band, axis=0).tolist()
+    prof = kernel.provenance.get("error_profile") or {}
     return _solve([(det * (A_hat @ A_hat.conj().T), d, 1, lambda v: v)], det,
-                  kernel, kernel.band, True, {"det_band": det})
+                  kernel, kernel.band, True,
+                  {"det_band": det, "gram_offset_reach": reach,
+                   "profile_box": prof.get("box")})
 
 
 def rslepian_exp_eigensystem(kernel: QuadratureND) -> EigenBasis:

@@ -150,15 +150,6 @@ def scaling_multiplier(B: float, n: int, x):
     return _scalar(out)
 
 
-def scale_general(values, B: float, n: int, x):
-    """Push per-point samples of a band-B surrogate up n tripling levels."""
-    values = np.asarray(values)
-    x = np.asarray(x, dtype=float)
-    if values.shape != x.shape:
-        raise ValueError("values/x shape mismatch")
-    return values * scaling_multiplier(B, n, x)
-
-
 @dataclass
 class ChirpletApprox:
     """sinc(B0 x) ~ Re sum over Gaussian chirps; weights come in conjugate

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rlimited import cli
 from rlimited.cli import main
 from rlimited.kernels import k_ball, quadrature_nd_from_json
 from rlimited.moments import quadrature_from_json, quadrature_to_json
@@ -524,3 +525,20 @@ def test_verify_unknown_suite_exit_2(tmp_path, capsys):
     rc = main(["verify", "--suite", "nonsense", "--out", str(tmp_path)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_twice_in_one_process(tmp_path, capsys, monkeypatch):
+    # the parser is built once and kept: a command rebound after the first
+    # call is the one the second call runs, and no option value of the
+    # first call carries over into the second
+    assert main(["verify", "--seed", "9", "--out", str(tmp_path / "a")]) == 0
+    assert json.load(open(tmp_path / "a" / "verify_report.json"))["checks"]
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify",
+                        lambda args: seen.append(vars(args).copy()) or 0)
+    assert main(["verify", "--suite", "nyquist", "--out",
+                 str(tmp_path / "b")]) == 0
+    assert seen == [{"command": "verify", "out": str(tmp_path / "b"),
+                     "grid": None, "suite": ["nyquist"], "tol": None,
+                     "seed": None}]
+    assert not (tmp_path / "b" / "verify_report.json").exists()

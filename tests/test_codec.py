@@ -111,6 +111,9 @@ DOCS = {
     "keys": {3: "int", 2.5: "float", True: "bool", None: "none",
              math.inf: "inf", "é\n\"": "str"},
     "strings": ["", "a\tb", "é☃", "\"q\"", "\\"],
+    # the document is one %-template: its own "%" must come out as written
+    "percent": {"%": "%s", "%%": ["%", "a%sb", "%%", 1.5], "%s": [0.5, -2.0],
+                "x%d": {"%(k)s": [[1.0, 2.0]], "%": "100%"}},
     "np-scalars": [np.float32(0.1), np.float64(-0.0), np.int64(7),
                    np.int32(-3), np.complex128(1 - 2j), complex(0.5, -0.0),
                    np.float64(math.nan)],
@@ -493,9 +496,12 @@ def check_writers(monkeypatch) -> list:
     replaced, requiring byte-identical files, and check format_rows against
     per-element rows wherever the CLI calls it.  Returns the list that the
     names of checked files, and "format_rows" per checked call, go to."""
-    written = []
+    written, spelled = [], []
     new_json, new_rule = cli._write_json, cli._write_rule_csv
     new_field = cli.write_field_csv
+    spell = numkit._float_texts
+    monkeypatch.setattr(numkit, "_float_texts",
+                        lambda *a: spelled.append(a) or spell(*a))
 
     def compare(path, write_old):
         alt = path + ".old"
@@ -506,7 +512,10 @@ def check_writers(monkeypatch) -> list:
         written.append(os.path.basename(path))
 
     def write_json(path, doc):
+        spelled.clear()
         new_json(path, doc)
+        # every float list of a document goes through one spelling call
+        assert len(spelled) <= 1, (os.path.basename(path), len(spelled))
         compare(path, lambda alt: old_write_json(alt, doc))
 
     def write_rule(path, weights, nodes):
@@ -558,6 +567,11 @@ CLI_JOBS = {
     "quad-region-symmetric": (["quad", "--region", "tetra", "--symmetric",
                                "--M", "2"],
                               ["quadrature.json", "quadrature_nodes.csv"]),
+    # 28 float lists, one spelling call: weights, nodes, the 12 parts'
+    # transforms, two boxes and the 12 symmetry-group matrices
+    "quad-region-symmetric-M5": (["quad", "--region", "tetra", "--symmetric",
+                                  "--M", "5"],
+                                 ["quadrature.json", "quadrature_nodes.csv"]),
     "approx-sinc-cosine": (["approx-sinc", "--M", "4"],
                            ["sinc_approx.json", "sinc_approx_error.csv"]),
     "approx-sinc-chirplet": (["approx-sinc", "--chirplet", "--M", "4"],

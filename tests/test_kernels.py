@@ -62,23 +62,6 @@ def test_triangle_refine_matches_direct():
     assert np.max(np.abs(vec - K.k_triangle(TRI, xs, ys))) < 1e-13
 
 
-def test_triangle_invert_steps_one_level_down():
-    x, y, m = 1.3, -0.8, 3
-    vm = (K.k_triangle(TRI, 2 ** m * x, 2 ** m * y),
-          K.k_triangle(TRI, -2 ** m * x, 2 ** m * y))
-    got = K.triangle_scaling_invert(TRI, m, x, y, vm)
-    want = K.k_triangle(TRI, 2 ** (m - 1) * x, 2 ** (m - 1) * y)
-    assert abs(got - want) < 1e-13
-
-
-def test_triangle_invert_refuses_singular_point():
-    # cos(pi dp s 2^m y) = 0 kills the inversion determinant
-    m = 1
-    y = 0.5 / (TRI.dp * TRI.s * 2 ** m)
-    with pytest.raises(ValueError):
-        K.triangle_scaling_invert(TRI, m, 0.3, y, (1.0 + 0j, 1.0 + 0j))
-
-
 def tet_oracle(spec, X, Y, Z):
     def inner(y, z, part):
         v = (np.exp(2j * np.pi * (z * Z + y * Y))
@@ -603,6 +586,66 @@ def test_region_transform_and_union_semantics():
     uni = K.union_region([base, tr])
     both = K.region_contains(uni, pts)
     assert np.array_equal(both, lhs | K.region_contains(base, pts))
+
+
+def per_part_column(r, pts, column, tol=1e-9):
+    """A region's column by one row call per part, summed in part order."""
+    A = r.transform_matrix()
+    if A is not None:
+        base = K.Region(r.kind, r.params, None, r.parts, r.symmetric)
+        if column == "contains":
+            return per_part_column(base, pts @ np.linalg.inv(A).T, column,
+                                   tol)
+        return abs(float(np.linalg.det(A))) * per_part_column(
+            base, pts @ A, column)
+    if r.kind == "union":
+        zero = np.zeros(len(pts), dtype=complex if column == "kernel"
+                        else bool)
+        return sum((per_part_column(p, pts, column, tol) for p in r.parts),
+                   zero)
+    row = K._KINDS[r.kind]
+    values = [r.param(name) for name in row.params]
+    if column == "contains":
+        return np.asarray(row.contains(pts, tol, *values), dtype=bool)
+    return np.asarray(row.kernel(pts, *values), dtype=complex)
+
+
+def _mixed_union():
+    # an untransformed wedge between two transformed copies of it: one
+    # row call holds parts with and without a |det A| scaling
+    tri = K.triangle_region(0.8, 0.7)
+    return K.union_region([K.transformed_region(tri, K._rot2(2 * np.pi / 3)),
+                           tri,
+                           K.transformed_region(tri, [[1.0, 0.3],
+                                                      [0.0, 0.8]])])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: K.tetra_symmetric_quadrature(2, 2, 2, profile_grid=0).region,
+    lambda: K.equilateral_symmetric_quadrature(2, 2, profile_grid=0).region,
+    _mixed_union,
+], ids=["tetra", "equilateral", "mixed"])
+def test_union_route_equals_the_per_part_sum_bitwise(make, monkeypatch):
+    # parts sharing a base region go through one row call on their stacked
+    # points (two parts per call under a stack bound of two point sets);
+    # each part's values, and so the sum in part order, keep their bits.
+    # Offsets on a grid through zero reach every series branch.
+    r = make()
+    d = K.region_dim(r)
+    ax = np.linspace(-0.6, 0.6, 7)
+    grid = np.stack([m.ravel() for m in np.meshgrid(*[ax] * d)], axis=-1)
+    pts = np.concatenate([grid, np.random.default_rng(5).uniform(
+        -1.5, 1.5, (200, d))])
+    for stack in (K._STACK, 2 * len(pts)):
+        monkeypatch.setattr(K, "_STACK", stack)
+        for column in ("kernel", "contains"):
+            got = (K.region_kernel_exact(r, pts) if column == "kernel"
+                   else K.region_contains(r, pts))
+            want = per_part_column(r, pts, column)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (stack, column)
+    assert K.region_contains(r, pts).any() and not K.region_contains(
+        r, pts).all()
 
 
 def test_region_json_round_trip():

@@ -421,6 +421,28 @@ def test_rslepian_matches_the_closed_form_gram():
             assert _weighted_gram_defect(basis) <= 1e-12
 
 
+@pytest.mark.parametrize("half, inside", [(0.5, False), (1.5, True)])
+def test_rslepian_records_gram_offsets_against_the_profile_box(half, inside):
+    # the Gram forms the cloud's sum at offsets k_l - k_m up to 1.05 apart
+    # on the wedge's y axis; the profile of the default +-0.5 target box
+    # covers +-1 only.  The solve records that and goes on
+    tq = K.triangle_quadrature(K.TriangleSpec(0.8, 0.7), 4, 4,
+                               target_box=((-half, half),) * 2)
+    prov = P.rslepian_kernel_eigensystem(tq).provenance
+    reach, box = prov["gram_offset_reach"], prov["profile_box"]
+    k = tq.nodes
+    assert reach == np.max(np.abs(k[:, None] - k[None]), axis=(0, 1)).tolist()
+    assert 1.0 < max(reach) < 1.1
+    assert box == tq.provenance["error_profile"]["box"] == [[-2 * half,
+                                                            2 * half]] * 2
+    assert all(-lo >= r and hi >= r for r, (lo, hi) in zip(reach, box)) \
+        == inside
+    bare = K.triangle_quadrature(K.TriangleSpec(0.8, 0.7), 4, 4,
+                                 profile_grid=0)
+    assert P.rslepian_kernel_eigensystem(bare).provenance["profile_box"] \
+        is None
+
+
 @pytest.mark.parametrize("b", [6.0, 9.0])
 def test_rslepian_landau_count(b):
     # Landau: about |R| |b R| = b^2 |R|^2 concentration ratios exceed 1/2

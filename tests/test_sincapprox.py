@@ -8,7 +8,7 @@ from rlimited.sincapprox import (build_sinc_cosine_approx, CosineSumApprox,
                                  eval_cosine_sum, error_epsilon_B,
                                  frequency_rule, periodic_sinc,
                                  uniform_max_error, scaling_multiplier,
-                                 scale_general, build_chirplet_approx,
+                                 build_chirplet_approx,
                                  eval_chirplet_sum, reduction_level,
                                  symmetric_sinc_rule, one_sided_unit_rule)
 
@@ -58,13 +58,8 @@ def test_scaling_multiplier_is_exact_on_true_sinc():
     B = 0.9
     x = np.linspace(-4, 4, 1201)
     for n in (1, 2, 3):
-        got = scale_general(sinc(B * x), B, n, x)
+        got = sinc(B * x) * scaling_multiplier(B, n, x)
         assert np.max(np.abs(got - sinc(3 ** n * B * x))) < 5e-15, n
-
-
-def test_scale_general_shape_mismatch():
-    with pytest.raises(ValueError):
-        scale_general(np.zeros(3), 1.0, 1, np.zeros(4))
 
 
 def test_frequency_rule_contract():
