@@ -18,9 +18,9 @@ from dataclasses import dataclass, field, replace
 from numbers import Real
 
 from .numkit import _quad as quad, _scalar, sinc, cosinc, expc, \
-    power_exp_integral
+    power_exp_integral, Key, Table, read_doc
 from .sincapprox import symmetric_sinc_rule, one_sided_unit_rule
-from .moments import Quadrature1D, _finite, chebyshev_rule_for_j0
+from .moments import Quadrature1D, chebyshev_rule_for_j0
 
 # --------------------------------------------------------------------------
 # region descriptions
@@ -42,7 +42,9 @@ class Region:
     symmetric: bool = False
 
     def __post_init__(self):
-        region_dim(self)  # refuses what the kind does not define
+        d = region_dim(self)  # refuses what the kind does not define
+        if self.transform is not None and np.shape(self.transform) != (d, d):
+            raise ValueError("region transform must be %d x %d" % (d, d))
 
     def param(self, name: str) -> float:
         return dict(self.params)[name]
@@ -243,57 +245,30 @@ def quadrature_nd_to_json(q: QuadratureND) -> dict:
     return d
 
 
-# the JSON type of each node-cloud key but region, which region_from_json
-# checks; null reads as absent for the optional ones, all but weights and
-# nodes; error_profile is the older layout's, which kept the profile at top
-# level
-_CLOUD_JSON = {"weights": (list, "an array"), "nodes": (list, "an array"),
-               "band": (list, "an array"),
-               "symmetry_group": (list, "an array"),
-               "provenance": (dict, "an object"),
-               "error_profile": (dict, "an object")}
-
-
-def _finite_array(v: list, key: str, rows: bool,
-                  doc: str = "kernel") -> np.ndarray:
-    """v as a float array of finite numbers, or with rows of equal-length
-    arrays of them; ValueError naming doc's key and the first bad entry."""
-    width = len(v[0]) if rows and v and isinstance(v[0], list) else None
-    for i, e in enumerate(v):
-        if not (isinstance(e, list) and len(e) == width
-                and all(map(_finite, e)) if rows else _finite(e)):
-            raise ValueError("%s %s must hold %s; entry %d is %r" % (
-                doc, key, "equal-length rows of finite numbers" if rows
-                else "finite numbers", i, e))
-    return np.asarray(v, dtype=float)
+_PROFILE = Table("kernel error_profile", {
+    "max_err": Key("number>=0"), "box": Key("array", shape="d 2"),
+    "grid_n": Key("int>=0", required=False)})
+_CLOUD = Table("kernel", {
+    "weights": Key("array", shape="n"), "nodes": Key("array", shape="n d"),
+    "band": Key("array", False, True, "d d"),
+    "symmetry_group": Key("array", False, True, "n d d"),
+    "region": Key("object"),
+    "provenance": Key(Table("kernel provenance", {
+        "error_profile": Key(_PROFILE, False, True)}), False, True),
+    "error_profile": Key(_PROFILE, False, True)}, "a JSON object")
 
 
 def quadrature_nd_from_json(d: dict) -> QuadratureND:
-    """The cloud of quadrature_nd_to_json's layout, or of the older one;
-    ValueError, naming the key, for a document that is not an object, a key
-    missing or of the wrong JSON type, or an entry of weights, nodes or band
-    that is not a finite number or a row of them."""
-    if not isinstance(d, dict):
-        raise ValueError("kernel must be a JSON object, not %s"
-                         % type(d).__name__)
-    for key, (kind, name) in _CLOUD_JSON.items():
-        v = d.get(key)
-        if v is None and key not in ("weights", "nodes"):
-            continue
-        if not isinstance(v, kind):
-            raise ValueError("kernel %s must be %s: %r" % (key, name, v))
-    group, band = d.get("symmetry_group"), d.get("band")
-    prov = dict(d.get("provenance") or {})
-    if d.get("error_profile"):
-        prov["error_profile"] = dict(d["error_profile"])
-    return QuadratureND(
-        weights=_finite_array(d["weights"], "weights", rows=False),
-        nodes=_finite_array(d["nodes"], "nodes", rows=True),
-        region=region_from_json(d.get("region")),
-        band=None if band is None else _finite_array(band, "band", rows=True),
-        symmetry_group=[np.asarray(m, dtype=float) for m in group]
-        if group else None,
-        provenance=prov)
+    """The cloud of quadrature_nd_to_json's layout, or of the older one with
+    error_profile at top level; ValueError unless it reads against _CLOUD."""
+    v = read_doc(d, _CLOUD)
+    prov, group = v.get("provenance") or {}, v.get("symmetry_group")
+    prof = v.get("error_profile") or prov.get("error_profile")
+    if prof:
+        prov["error_profile"] = dict(prof, box=prof["box"].tolist())
+    return QuadratureND(v["weights"], v["nodes"],
+                        region_from_json(v["region"]), v.get("band"),
+                        group if group is None else list(group), prov)
 
 
 def region_to_json(r: Region) -> dict:
@@ -306,34 +281,21 @@ def region_to_json(r: Region) -> dict:
     return d
 
 
-# the JSON type of each region key; null reads as absent for the optional
-# ones, transform, parts and symmetric
-_REGION_JSON = {"kind": (str, "a string"), "params": (dict, "an object"),
-                "transform": (list, "an array of arrays"),
-                "parts": (list, "an array of regions"),
-                "symmetric": (bool, "true or false")}
+_REGION = Table("region", {
+    "kind": Key("string"), "params": Key("object", required=False),
+    "transform": Key("rows", False, True, "d d"),
+    "parts": Key("array", False, True), "symmetric": Key("bool", False, True)})
 
 
 def region_from_json(d: dict) -> Region:
-    """The Region of region_to_json's layout; ValueError, naming the key,
-    for a region that is not an object or a key of the wrong JSON type."""
-    if not isinstance(d, dict):
-        raise ValueError("region must be an object: %r" % (d,))
-    d = {"params": {}, **d}
-    for key, (kind, name) in _REGION_JSON.items():
-        v = d.get(key)
-        if v is None and key not in ("kind", "params"):
-            continue
-        if not isinstance(v, kind) or key == "transform" and not all(
-                isinstance(row, list) for row in v):
-            raise ValueError("region %s must be %s: %r" % (key, name, v))
-    return Region(kind=d["kind"],
-                  params=tuple(d["params"].items()),
-                  transform=tuple(map(tuple, d["transform"]))
-                  if d.get("transform") is not None else None,
-                  parts=tuple(region_from_json(p) for p in d["parts"])
-                  if d.get("parts") is not None else None,
-                  symmetric=d.get("symmetric") is True)
+    """The Region of region_to_json's layout; ValueError unless it, and
+    each part in turn, reads against _REGION."""
+    v = read_doc(d, _REGION)
+    A, P = v.get("transform"), v.get("parts")
+    return Region(v["kind"], tuple(v.get("params", {}).items()),
+                  A if A is None else tuple(map(tuple, A.tolist())),
+                  P if P is None else tuple(map(region_from_json, P)),
+                  v.get("symmetric") is True)
 
 
 # One row per region kind: its parameter names, then functions of their

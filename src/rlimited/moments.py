@@ -13,12 +13,12 @@ Callers wanting frequency nodes from a "direct" rule take sqrt(g).
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from dataclasses import dataclass, field
 from functools import lru_cache
 from numpy.polynomial.legendre import leggauss
+
+from .numkit import Key, Table, _num_to_json, read_doc
 
 PRESET_NAMES = ("sinc_cos", "j0_cos", "gauss_cos", "sinc_gauss",
                 "j0_sinc", "j1_cosinc")
@@ -264,36 +264,6 @@ def verify_moments(q: Quadrature1D, h: MomentSequence) -> dict:
             "max_rel": float(np.max(np.abs(eps))) / scale if scale else 0.0}
 
 
-def _num_to_json(a: np.ndarray):
-    """Real arrays as a list of floats, complex ones as [re, im] rows."""
-    a = np.asarray(a)
-    if np.iscomplexobj(a):
-        return np.stack([a.real, a.imag], axis=-1).tolist()
-    return a.astype(float).tolist()
-
-
-def _finite(v) -> bool:
-    """A finite JSON number; booleans do not count."""
-    try:
-        return not isinstance(v, bool) and math.isfinite(v)
-    except (TypeError, OverflowError):
-        return False
-
-
-def _num_from_json(lst: list, key: str) -> np.ndarray:
-    """Finite numbers, or complex entries as [re, im] pairs of them when
-    the first entry is a pair; ValueError naming key for any other entry."""
-    pairs = bool(lst) and isinstance(lst[0], list)
-    for i, v in enumerate(lst):
-        if not (isinstance(v, list) and len(v) == 2 and all(map(_finite, v))
-                if pairs else _finite(v)):
-            raise ValueError("1D rule %s must hold finite numbers or [re, im] "
-                             "pairs of them; entry %d is %r" % (key, i, v))
-    if pairs:
-        return np.asarray([complex(re, im) for re, im in lst])
-    return np.asarray([float(v) for v in lst])
-
-
 def quadrature_to_json(q: Quadrature1D) -> dict:
     return {"band": float(q.band), "symmetric": bool(q.symmetric),
             "weights": _num_to_json(q.weights),
@@ -301,31 +271,16 @@ def quadrature_to_json(q: Quadrature1D) -> dict:
             "provenance": dict(q.provenance)}
 
 
-# the JSON type of each rule key; all but provenance are required
-_RULE_JSON = {"band": ((int, float), "a finite number > 0"),
-              "symmetric": (bool, "true or false"),
-              "weights": (list, "an array"), "nodes": (list, "an array"),
-              "provenance": (dict, "an object")}
+_RULE = Table("1D rule", {
+    "band": Key("number>0"), "symmetric": Key("bool"),
+    "weights": Key("array", shape="n", pairs=True),
+    "nodes": Key("array", shape="n", pairs=True),
+    "provenance": Key("object", required=False)}, "a JSON object")
 
 
 def quadrature_from_json(d: dict) -> Quadrature1D:
-    """The rule of quadrature_to_json's layout; ValueError, naming the key,
-    for a rule that is not an object, a key missing or of the wrong JSON
-    type, a band that is not a finite number > 0, an array entry that is
-    not a finite number or [re, im] pair, or a provenance that is not an
-    object."""
-    if not isinstance(d, dict):
-        raise ValueError("1D rule must be a JSON object, not %s"
-                         % type(d).__name__)
-    for key, (kind, name) in _RULE_JSON.items():
-        if key not in d and key != "provenance":
-            raise ValueError("1D rule has no %r key" % key)
-        v = d.get(key, {})
-        if not isinstance(v, kind) or key == "band" and not (
-                _finite(v) and v > 0):
-            raise ValueError("1D rule %s must be %s: %r" % (key, name, v))
-    return Quadrature1D(weights=_num_from_json(d["weights"], "weights"),
-                        nodes=_num_from_json(d["nodes"], "nodes"),
-                        band=float(d["band"]),
-                        symmetric=d["symmetric"],
-                        provenance=dict(d.get("provenance", {})))
+    """The rule of quadrature_to_json's layout; ValueError unless it reads
+    against _RULE (see numkit.read_doc)."""
+    v = read_doc(d, _RULE)
+    return Quadrature1D(v["weights"], v["nodes"], v["band"], v["symmetric"],
+                        dict(v.get("provenance", {})))

@@ -6,6 +6,7 @@ Everything here is pure and safe to call from any thread.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, repeat
@@ -636,3 +637,122 @@ def _put_json_list(lst, level, out, flat) -> None:
         sep = "," + nl1
         _put_json(v, level + 1, out, flat)
     out.append(nl0 + "]")
+
+
+# ---------------------------------------------------------------- documents
+# Every artifact reader is its key table plus the dataclass call.  A Table
+# names its document (each message starts with the name) and maps each key
+# to a Key: its JSON type (a _JSON name, a (test, what) pair, or a Table read
+# in turn), whether it is required, whether null reads as absent, and for
+# numbers a shape in the symbols n (any length), d (the document's
+# dimension, fixed by its first use) and 2.  A shaped "array" holds numbers
+# ([re, im] pairs of them too, with pairs), a shaped "object" their
+# {"re", "im"} split, im optional.
+Key = namedtuple("Key", "type required null shape pairs",
+                 defaults=(True, False, "", False))
+Table = namedtuple("Table", "name keys what", defaults=("an object",))
+
+
+def _real(v) -> bool:
+    """A finite JSON number; booleans do not count."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= 1.7976931348623157e308)   # the largest float
+
+
+_JSON = {"object": (lambda v: isinstance(v, dict), "an object"),
+         "array": (lambda v: isinstance(v, list), "an array"),
+         "rows": (lambda v: isinstance(v, list) and all(
+             isinstance(r, list) for r in v), "an array of arrays"),
+         "string": (lambda v: isinstance(v, str), "a string"),
+         "bool": (lambda v: isinstance(v, bool), "true or false"),
+         "number>0": (lambda v: _real(v) and v > 0, "a finite number > 0"),
+         "number>=0": (lambda v: _real(v) and v >= 0,
+                       "a finite number >= 0"),
+         "int>=0": (lambda v: type(v) is int and v >= 0, "an int >= 0")}
+
+
+def read_doc(doc, table: Table, dims=None) -> dict:
+    """doc's keys, checked against table: numbers parsed into arrays,
+    sub-tables read in turn, and any other value (null too, where it reads
+    as absent) kept as it is.  dims holds d once a shape has fixed it."""
+    if not isinstance(doc, dict):
+        raise ValueError("%s must be %s, not %s"
+                         % (table.name, table.what, type(doc).__name__))
+    dims = {} if dims is None else dims
+    out = dict(doc)
+    for key, k in table.keys.items():
+        v, path = doc.get(key), "%s %s" % (table.name, key)
+        if v is None and (k.null or key not in doc):
+            if k.required:
+                raise ValueError("%s has no %r key" % (table.name, key))
+        elif isinstance(k.type, Table):
+            out[key] = read_doc(v, k.type, dims)
+        elif not _JSON.get(k.type, k.type)[0](v):
+            raise ValueError("%s must be %s: %r"
+                             % (path, _JSON.get(k.type, k.type)[1], v))
+        elif k.shape:
+            out[key] = _read_numbers(v, k.shape.split(), path, dims, k.pairs)
+        elif k.type in ("number>0", "number>=0"):
+            out[key] = float(v)
+    return out
+
+
+def _read_numbers(v, axes, path, dims, pairs=False):
+    """v as a float array of shape axes, or complex for pairs and for the
+    split; ValueError naming path, and the first bad entry, otherwise."""
+    if isinstance(v, dict):   # the {"re", "im"} split, im optional
+        parts = [v.get("re")] + ([v["im"]] if "im" in v else [])
+        if not all(isinstance(p, list) for p in parts):
+            raise ValueError("%s must hold arrays re and im" % path)
+        re, *im = (_read_numbers(p, axes, path, dims) for p in parts)
+        if im and im[0].shape != re.shape:
+            raise ValueError("%s re and im differ in shape" % path)
+        return np.stack([re, *im], -1).view(complex)[..., 0] if im else re
+    if not isinstance(v, list):
+        raise ValueError("%s must be an array: %r" % (path, v))
+    cx = pairs and bool(v) and isinstance(v[0], list)
+    axes = axes + ["2"] * cx
+    a = _numbers(v, axes, dims)
+    if a is not None:
+        return a.view(complex)[:, 0] if cx else a
+    bad = next((i for i, e in enumerate(v)
+                if _numbers(e, axes[1:], dims) is None), None)
+    raise ValueError("%s must hold %s (%s)%s" % (
+        path, "finite numbers or [re, im] pairs of them" if pairs else
+        "matrices of finite numbers" if len(axes) > 2 else
+        "equal-length rows of finite numbers" if len(axes) > 1 else
+        "finite numbers", " x ".join(str(dims.get(s, s)) for s in axes),
+        "" if bad is None else "; entry %d is %r" % (bad, v[bad])))
+
+
+def _numbers(v, axes, dims):
+    """v as a float array of finite, non-boolean numbers whose axes fit the
+    symbols axes (d bound on first use), or None."""
+    try:
+        a = np.array(v, dtype=object)   # ragged rows stay lists
+        if a.ndim != len(axes) or not (set(map(type, a.flat)) <= {int, float}
+                                       or all(map(_real, a.flat))):
+            return None
+        a = a.astype(float)
+    except (ValueError, OverflowError):   # an int past the largest float
+        return None
+    for n, s in zip(a.shape, axes):
+        if s == "d" and n:    # an empty axis fixes no d
+            dims.setdefault(s, n)
+        if n != (n if s == "n" else dims.get(s, 0) if s == "d" else int(s)):
+            return None
+    return a if np.isfinite(a).all() else None
+
+
+def _num_to_json(a):
+    """Real arrays as a list of floats, complex ones as [re, im] rows."""
+    a = np.asarray(a)
+    return (np.stack([a.real, a.imag], axis=-1) if np.iscomplexobj(a)
+            else a.astype(float)).tolist()
+
+
+def _c_to_json(a):
+    """The {"re", "im"} split; real arrays have no im."""
+    a = np.asarray(a)
+    return ({"re": a.real.tolist(), "im": a.imag.tolist()}
+            if np.iscomplexobj(a) else {"re": a.tolist()})

@@ -64,10 +64,7 @@ def expsum_kernel(q, band=None) -> QuadratureND:
     prov = dict(q.provenance)
     prof = prov.get("error_profile")
     if prof:
-        prov["error_profile"] = {
-            "max_err": det * float(prof["max_err"]),
-            "box": [list(map(float, b)) for b in prof["box"]],
-            "grid_n": int(prof.get("grid_n", 0))}
+        prov["error_profile"] = dict(prof, max_err=det * prof["max_err"])
     return replace(q, weights=det * q.weights, band=Bm, provenance=prov)
 
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass, field
 
-from .numkit import _scalar, sinc
-from .moments import Quadrature1D, _finite
-from .kernels import (QuadratureND, _finite_array, region_to_json,
-                      region_from_json)
+from .numkit import _scalar, sinc, Key, Table, _c_to_json, read_doc
+from .moments import Quadrature1D
+from .kernels import QuadratureND, region_to_json, region_from_json
 
 _TIE_TOL = 1e-10
 # mu is a concentration ratio, so mu_max - 1 beyond rounding means the rule
@@ -311,25 +310,6 @@ def rslepian_exp_eigensystem(kernel: QuadratureND) -> EigenBasis:
 # serialization
 
 
-def _c_to_json(a: np.ndarray):
-    a = np.asarray(a)
-    if np.iscomplexobj(a):
-        return {"re": a.real.tolist(), "im": a.imag.tolist()}
-    return {"re": a.tolist()}
-
-
-def _c_from_json(d: dict, key: str, rows: bool) -> np.ndarray:
-    """_c_to_json's {"re", "im"} layout, im optional; ValueError naming key
-    unless each part is an array of finite numbers (or of rows of them)."""
-    parts = [d.get("re")] + ([d["im"]] if "im" in d else [])
-    if not all(isinstance(v, list) for v in parts):
-        raise ValueError("eigenbasis %s must hold arrays re and im" % key)
-    re, *im = (_finite_array(v, key, rows, "eigenbasis") for v in parts)
-    if im and im[0].shape != re.shape:
-        raise ValueError("eigenbasis %s re and im differ in shape" % key)
-    return re + 1j * im[0] if im else re
-
-
 def eigenbasis_to_json(b: EigenBasis) -> dict:
     nodes = np.asarray(b.quadrature.nodes, dtype=float)
     band = b.band
@@ -348,52 +328,36 @@ def eigenbasis_to_json(b: EigenBasis) -> dict:
     return doc
 
 
-# the JSON type of each eigenbasis key; all but provenance are required,
-# and region in ND, where band is an array of rows, not a number
-_BASIS_JSON = {"kind": (str, "a string"), "mu": (list, "an array"),
-               "lambda": (dict, "an object"),
-               "eigenvectors": (dict, "an object"),
-               "nodes": (list, "an array"), "weights": (list, "an array"),
-               "band": ((int, float, list),
-                        "a finite number > 0 or an array of rows"),
-               "provenance": (dict, "an object")}
+_BASIS = Table("eigenbasis", {
+    "kind": Key((("exp_system", "kernel_system").__contains__,
+                 "a string, exp_system or kernel_system")),
+    "band": Key("number>0"),
+    "mu": Key("array", shape="n"), "lambda": Key("object", shape="n"),
+    "eigenvectors": Key("object", shape="n n"),
+    "nodes": Key("array", shape="n"), "weights": Key("array", shape="n"),
+    "provenance": Key("object", required=False)}, "a JSON object")
+_BASIS_ND = _BASIS._replace(keys=dict(
+    _BASIS.keys, band=Key("array", shape="d d"),
+    nodes=Key("array", shape="n d"), region=Key("object")))
 
 
 def eigenbasis_from_json(d: dict) -> EigenBasis:
     """Rebuild the eigenpairs with their rule: a Quadrature1D for 1D
-    documents, the banded node cloud for ND ones.  ValueError, naming the
-    key, for a document that is not an object, a key missing or of the
-    wrong JSON type, a 1D band that is not a finite number > 0, an array
-    entry that is not a finite number (or a row of them), or eigenpair
-    arrays whose shapes do not fit mu and the nodes."""
-    if not isinstance(d, dict):
-        raise ValueError("eigenbasis must be a JSON object, not %s"
-                         % type(d).__name__)
-    for key, (kind, name) in _BASIS_JSON.items():
-        if key not in d and key != "provenance":
-            raise ValueError("eigenbasis has no %r key" % key)
-        v = d.get(key, {})
-        if not isinstance(v, kind) or key == "band" and not (
-                isinstance(v, list) or _finite(v) and v > 0):
-            raise ValueError("eigenbasis %s must be %s: %r" % (key, name, v))
-    def arr(key, rows):
-        return _finite_array(d[key], key, rows, "eigenbasis")
-    nd = isinstance(d["band"], list)
-    band = arr("band", True) if nd else float(d["band"])
-    weights, nodes = arr("weights", False), arr("nodes", nd)
+    documents, the banded node cloud for ND ones (band an array).
+    ValueError unless it reads against _BASIS or _BASIS_ND, and its
+    eigenpair arrays fit mu and the nodes."""
+    nd = isinstance(d, dict) and isinstance(d.get("band"), list)
+    v = read_doc(d, _BASIS_ND if nd else _BASIS)
     if nd:
-        q = QuadratureND(weights=weights, nodes=nodes,
-                         region=region_from_json(d.get("region")), band=band)
+        q = QuadratureND(v["weights"], v["nodes"],
+                         region_from_json(v["region"]), v["band"])
     else:
-        q = Quadrature1D(weights=weights, nodes=nodes, band=band,
-                         symmetric=True)
+        q = Quadrature1D(v["weights"], v["nodes"], v["band"], True)
         _half_rule(q, _REBUILD)
-    mu = arr("mu", False)
-    lam = _c_from_json(d["lambda"], "lambda", False)
-    vecs = _c_from_json(d["eigenvectors"], "eigenvectors", True)
-    if lam.shape != mu.shape or vecs.shape != (len(nodes), len(mu)):
+    mu, lam, vecs = v["mu"], v["lambda"], v["eigenvectors"]
+    if lam.shape != mu.shape or vecs.shape != (len(v["nodes"]), len(mu)):
         raise ValueError("eigenbasis needs one lambda per mu, and "
                          "eigenvectors with a row per node, a column per mu")
     return EigenBasis(eigenvalues_mu=mu, eigenvalues_lambda=lam,
-                      eigenvectors=vecs, quadrature=q, band=band,
-                      kind=d["kind"], provenance=dict(d.get("provenance", {})))
+                      eigenvectors=vecs, quadrature=q, band=v["band"],
+                      kind=v["kind"], provenance=dict(v.get("provenance", {})))

@@ -414,6 +414,13 @@ def test_project_malformed_rule_document_exit_2(tmp_path, capsys, doc,
 
 _CLOUD = {"weights": [1.0], "nodes": [[0.5, 0.0]],
           "region": {"kind": "triangle", "params": {"dp": 0.8, "s": 0.7}}}
+_PROFILE = {"max_err": 1e-9, "box": [[-1.0, 1.0], [-1.0, 1.0]], "grid_n": 5}
+
+
+def _profiled(**profile):
+    """_CLOUD with _PROFILE, changed by profile, in its provenance."""
+    return dict(_CLOUD, provenance={"error_profile": dict(_PROFILE,
+                                                          **profile)})
 
 
 @pytest.mark.parametrize("doc, match", [
@@ -431,15 +438,48 @@ _CLOUD = {"weights": [1.0], "nodes": [[0.5, 0.0]],
     (dict(_CLOUD, weights=[1.0, 1.0], nodes=[0.5, 0.0]),
      "kernel nodes must hold equal-length rows of finite numbers"),
     (dict(_CLOUD, band=[[1.0, None], [0.0, 1.0]]),
-     "kernel band must hold equal-length rows of finite numbers")],
+     "kernel band must hold equal-length rows of finite numbers"),
+    (dict(_CLOUD, provenance={"error_profile": 5}),
+     "kernel error_profile must be an object"),
+    (_profiled(max_err=None),
+     "kernel error_profile max_err must be a finite number >= 0"),
+    (_profiled(max_err=-1.0), "kernel error_profile max_err must be"),
+    (_profiled(box={}), "kernel error_profile box must be an array"),
+    (_profiled(box=None), "kernel error_profile box must be an array"),
+    (_profiled(box=[[-1.0, 1.0]]), "kernel error_profile box must hold"),
+    (_profiled(box=[[-1.0, 0.0, 1.0]] * 2),
+     "kernel error_profile box must hold"),
+    (_profiled(grid_n="a"), "kernel error_profile grid_n must be an int"),
+    (dict(_CLOUD, error_profile=dict(_PROFILE, box=None)),
+     "kernel error_profile box must be an array"),
+    (dict(_CLOUD, symmetry_group=[{}]), "kernel symmetry_group must hold"),
+    (dict(_CLOUD, symmetry_group=[None]), "kernel symmetry_group must hold"),
+    (dict(_CLOUD, symmetry_group=[5]), "kernel symmetry_group must hold"),
+    (dict(_CLOUD, symmetry_group=[[1, 2]]), "kernel symmetry_group must hold"),
+    (dict(_CLOUD, symmetry_group=[np.eye(3).tolist()]),
+     "kernel symmetry_group must hold"),
+    (dict(_CLOUD, region=dict(_CLOUD["region"],
+                              transform=[[1, "a"], [0, 1]])),
+     "region transform must hold"),
+    (dict(_CLOUD, region=dict(_CLOUD["region"], transform=[[1]])),
+     "region transform must be 2 x 2")],
     ids=["provenance-int", "error-profile-int", "weights-int", "weights-null",
          "weights-nan", "weights-bool", "nodes-null", "nodes-ragged",
-         "nodes-flat", "band-null"])
+         "nodes-flat", "band-null", "profile-int", "max-err-null",
+         "max-err-negative", "box-object", "box-null", "box-one-row",
+         "box-3-columns", "grid-n-string", "top-level-box-null",
+         "group-object", "group-null", "group-int", "group-row", "group-3x3",
+         "transform-string", "transform-1x1"])
 def test_project_malformed_cloud_document_exit_2(tmp_path, capsys, doc,
                                                  match):
     # an int provenance or error_profile raised TypeError (exit 1); null,
     # NaN and boolean entries were read as numbers and reached the
-    # projection, and ragged or flat nodes failed without naming the key
+    # projection, and ragged or flat nodes failed without naming the key.
+    # The profile in provenance was read unchecked: an int profile, a null
+    # max_err or an object box raised TypeError, a null box IndexError, and
+    # a string grid_n was read; a symmetry_group entry {} raised TypeError,
+    # and null, 5 or a row were read as matrices; a transform with text or
+    # of the wrong size failed with numpy's text, naming no key
     kpath = tmp_path / "kernel.json"
     kpath.write_text(json.dumps(doc))
     _line_field(tmp_path / "field.csv")

@@ -693,12 +693,17 @@ def test_region_json_round_trip():
      "region must be an object"),
     (lambda: K.region_from_json({"kind": "interval", "symmetric": "no"}),
      "region symmetric must be true or false"),
+    (lambda: K.region_from_json({"kind": "triangle", "params": {
+        "dp": 0.8, "s": 0.7}, "transform": [[1.0]]}),
+     "region transform must be 2 x 2"),
+    (lambda: K.transformed_region(K.ball_region(1.0), np.eye(2)),
+     "region transform must be 3 x 3"),
 ], ids=["unknown-kind", "missing-param", "cone-without-n", "union-no-parts",
         "union-empty", "union-json-no-parts", "union-mixed-dims",
         "json-params-list", "json-param-string", "param-nan", "param-none",
         "json-region-list", "json-kind-list", "json-transform-int",
         "json-transform-row-int", "json-parts-int", "json-part-int",
-        "json-symmetric-string"])
+        "json-symmetric-string", "json-transform-1x1", "transform-2x2-on-3d"])
 def test_region_refuses_what_its_kind_does_not_define(make, match):
     with pytest.raises(ValueError, match=match):
         make()

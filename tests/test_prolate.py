@@ -498,13 +498,16 @@ _SHAPE = "column per mu|re and im differ"
      "eigenbasis band must be a finite number > 0"),
     (lambda d: d.update(mu=5), "eigenbasis mu must be an array"),
     (lambda d: d.update(kind=7), "eigenbasis kind must be a string"),
+    (lambda d: d.update(kind="a"),
+     "eigenbasis kind must be a string, exp_system or kernel_system"),
     (lambda d: d.update(provenance=5),
      "eigenbasis provenance must be an object"),
     (lambda d: d.update(mu=d["mu"][:3]), _SHAPE),
     (lambda d: d["lambda"].update(re=d["lambda"]["re"][:3]), _SHAPE),
     (lambda d: d["eigenvectors"].update(
         re=[r[:3] for r in d["eigenvectors"]["re"]]), _SHAPE)],
-    ids=["weights-null", "band-0", "mu-int", "kind-int", "provenance-int",
+    ids=["weights-null", "band-0", "mu-int", "kind-int", "kind-unknown",
+         "provenance-int",
          "mu-short", "lambda-short", "eigenvectors-narrow"])
 def test_eigenbasis_from_json_names_the_bad_key(ker_basis, nd, mutate,
                                                 message):
