@@ -28,9 +28,8 @@ from .sincapprox import CosineSumApprox, build_sinc_cosine_approx, \
 from .kernels import Region, TriangleSpec, TetraSpec, ConeSpec, \
     QuadratureND, interval_region, triangle_region, tetrahedron_region, \
     cone_region, ball_region, transformed_region, union_region, \
-    region_contains, equilateral_spec, sub_triangle_spec, \
-    regular_tetra_spec, sub_tetra_spec, k_triangle, \
-    triangle_scaling_refine, triangle_quadrature, \
+    region_contains, equilateral_spec, regular_tetra_spec, sub_tetra_spec, \
+    k_triangle, triangle_scaling_refine, triangle_quadrature, \
     equilateral_symmetric_quadrature, k_tetra, tetra_quadrature, \
     tetra_symmetry_group, tetra_symmetric_quadrature, tetra_contains, \
     rotation_matrix, TETRA_VERTICES, k_cone, tilde_k_cone, cone_ls_error, \
@@ -62,9 +61,8 @@ __all__ = [
     "interval_region", "triangle_region", "tetrahedron_region",
     "cone_region", "ball_region", "transformed_region", "union_region",
     "region_contains",
-    "equilateral_spec", "sub_triangle_spec", "regular_tetra_spec",
-    "sub_tetra_spec", "k_triangle", "triangle_scaling_refine",
-    "triangle_quadrature",
+    "equilateral_spec", "regular_tetra_spec", "sub_tetra_spec",
+    "k_triangle", "triangle_scaling_refine", "triangle_quadrature",
     "equilateral_symmetric_quadrature", "k_tetra", "tetra_quadrature",
     "tetra_symmetry_group", "tetra_symmetric_quadrature", "tetra_contains",
     "rotation_matrix", "TETRA_VERTICES", "k_cone", "tilde_k_cone",

@@ -15,9 +15,8 @@ import math
 import numpy as np
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from numbers import Real
 
-from .numkit import _quad as quad, _scalar, sinc, cosinc, expc, \
+from .numkit import _quad as quad, _real, _scalar, sinc, cosinc, expc, \
     power_exp_integral, Key, Table, read_doc
 from .sincapprox import symmetric_sinc_rule, one_sided_unit_rule
 from .moments import Quadrature1D, chebyshev_rule_for_j0
@@ -153,11 +152,6 @@ class ConeSpec:
 def equilateral_spec() -> TriangleSpec:
     """The unit-side equilateral as one wedge with a vertex at the origin."""
     return TriangleSpec(dp=math.sqrt(3.0) / 2.0, s=1.0 / math.sqrt(3.0))
-
-
-def sub_triangle_spec() -> TriangleSpec:
-    """Ninth-area self-similar piece of the equilateral wedge."""
-    return TriangleSpec(dp=math.sqrt(3.0) / 6.0, s=1.0 / math.sqrt(3.0))
 
 
 def regular_tetra_spec() -> TetraSpec:
@@ -300,8 +294,19 @@ def region_from_json(d: dict) -> Region:
 
 # One row per region kind: its parameter names, then functions of their
 # values giving its dimension, its membership mask at points k with absolute
-# slack tol on every face, and its closed-form kernel at offsets x.
+# slack tol on every face, and its closed-form kernel at offsets x.  Every
+# parameter is a finite number > 0 (region_dim); a dimension function
+# refuses any other value its kind does not define.
 _Kind = namedtuple("_Kind", "params dim contains kernel")
+
+
+def _cone_dim(w0, p, n) -> int:
+    if type(n) is not int or n not in (1, 2, 3):
+        raise ValueError("a cone region needs an int 1, 2 or 3 for n, got %r"
+                         % (n,))
+    return 1 + n
+
+
 _KINDS = {
     "interval": _Kind(
         (), lambda: 1,
@@ -320,12 +325,12 @@ _KINDS = {
             & (np.abs(k[:, 0]) <= s * k[:, 1] + tol)),
         lambda x, h, dp, s: k_tetra(TetraSpec(h, dp, s), *x.T)),
     "cone": _Kind(
-        ("omega0", "pmax", "n"), lambda w0, p, n: 1 + int(n),
+        ("omega0", "pmax", "n"), _cone_dim,
         lambda k, tol, w0, p, n: (
             (np.abs(k[:, 0]) <= w0 + tol)
             & (np.linalg.norm(k[:, 1:], axis=1) <= p * np.abs(k[:, 0]) + tol)),
-        lambda x, w0, p, n: k_cone(ConeSpec(w0, p, int(n)), x[:, 0],
-                                   x[:, 1] if int(n) == 1 else x[:, 1:])),
+        lambda x, w0, p, n: k_cone(ConeSpec(w0, p, n), x[:, 0],
+                                   x[:, 1] if n == 1 else x[:, 1:])),
     "ball": _Kind(
         ("k_max",), lambda *_: 3,
         lambda k, tol, km: np.linalg.norm(k, axis=1) <= km + tol,
@@ -383,8 +388,9 @@ def region_contains(r: Region, points, tol: float = 1e-9) -> np.ndarray:
 
 def region_dim(r: Region) -> int:
     """ValueError for a kind that is neither union nor a row of _KINDS, a
-    missing or non-finite parameter, or a union without parts or of mixed
-    dimension."""
+    missing parameter, one that is not a finite number > 0 (a boolean is
+    not a number) or that its row's dimension function refuses, or a union
+    without parts or of mixed dimension."""
     if r.kind == "union":
         dims = sorted({region_dim(p) for p in r.parts or ()})
         if len(dims) != 1:
@@ -398,8 +404,8 @@ def region_dim(r: Region) -> int:
         raise ValueError("a %s region needs parameters %s, got %s"
                          % (r.kind, row.params, r.params))
     values = [r.param(name) for name in row.params]
-    if not all(isinstance(v, Real) and math.isfinite(v) for v in values):
-        raise ValueError("a %s region needs finite real numbers for %s, "
+    if not all(_real(v) and v > 0 for v in values):
+        raise ValueError("a %s region needs finite real numbers > 0 for %s, "
                          "got %s" % (r.kind, row.params, r.params))
     return row.dim(*values)
 

@@ -101,11 +101,11 @@ class Quadrature1D:
             raise ValueError("weights/nodes shape mismatch")
 
 
-def _real_if_close(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _real_if_close(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if np.iscomplexobj(a):
         scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-        if float(np.max(np.abs(a.imag))) <= tol * scale:
+        if float(np.max(np.abs(a.imag))) <= 1e-10 * scale:
             return a.real.copy()
     return a
 

@@ -189,7 +189,7 @@ def make_grid(lo, hi, counts) -> PointSet:
     return PointSet(np.stack([m.ravel() for m in mesh], axis=-1))
 
 
-def grid_axes(points: np.ndarray, tol: float = 1e-9):
+def grid_axes(points: np.ndarray):
     """Recover a tensor grid from its flat point list: (axes, slot), the
     sorted coordinates of each axis and each point's row-major index into
     the grid.  Row order is free, but every slot must hold exactly one
@@ -200,8 +200,8 @@ def grid_axes(points: np.ndarray, tol: float = 1e-9):
     for col in pts.T:
         order = np.argsort(col, kind="stable")
         v = col[order]
-        # a gap above tol starts a new coordinate; smaller ones are fuzz
-        new = np.diff(v, prepend=-np.inf) > tol * np.maximum(1.0, np.abs(v))
+        # a gap above 1e-9 max(1, |v|) starts a new coordinate; less is fuzz
+        new = np.diff(v, prepend=-np.inf) > 1e-9 * np.maximum(1.0, np.abs(v))
         axes.append(v[new])
         idx.append((np.cumsum(new) - 1)[np.argsort(order)])
     slot = np.ravel_multi_index(idx, [len(a) for a in axes])
@@ -220,7 +220,7 @@ def write_field_csv(fld: SampledField, path) -> None:
         fh.write(format_rows([pts, fld.values.real, fld.values.imag]))
 
 
-def read_field_csv(path, label: str = "") -> SampledField:
+def read_field_csv(path) -> SampledField:
     """Read write_field_csv's layout.  The body must hold exactly n_points
     rows of dim + 2 values; trailing blank lines are ignored."""
     with open(path) as fh:
@@ -249,8 +249,7 @@ def read_field_csv(path, label: str = "") -> SampledField:
         else np.empty((0, dim + 2))
     vals = np.empty(n, dtype=complex)
     vals.real, vals.imag = a[:, dim], a[:, dim + 1]   # keeps -0.0 parts
-    return SampledField(PointSet(np.ascontiguousarray(a[:, :dim])), vals,
-                        label=label)
+    return SampledField(PointSet(np.ascontiguousarray(a[:, :dim])), vals)
 
 
 # ---------------------------------------------------------------- artifacts

@@ -83,8 +83,7 @@ class ProjectionResult:
 # 1D band-limited projection
 
 
-def bandlimited_projection_oracle(f, B: float, t, support=(-1.0, 1.0),
-                                  epsabs: float = 1e-10):
+def bandlimited_projection_oracle(f, B: float, t, support=(-1.0, 1.0)):
     """Adaptive quadrature of int f(s) 2B sinc(2 pi B (t - s)) ds.
 
     The integrand is split at the sinc peak; this is the reference every
@@ -101,7 +100,7 @@ def bandlimited_projection_oracle(f, B: float, t, support=(-1.0, 1.0),
         cuts = [lo, ti, hi] if lo < ti < hi else [lo, hi]
         acc = 0.0
         for a0, b0 in zip(cuts[:-1], cuts[1:]):
-            val, err = quad(g, a0, b0, epsabs=epsabs, epsrel=1e-11,
+            val, err = quad(g, a0, b0, epsabs=1e-10, epsrel=1e-11,
                             limit=400)
             acc += val
         out[i] = acc
@@ -125,16 +124,16 @@ def discrete_fourier_repr_1d(fhat_at_nodes, q: Quadrature1D, B: float, t):
     return _scalar(out)
 
 
-def discrete_repr_error_bound(a: CosineSumApprox, B: float, T: float,
-                              f_max, grid: int = 4001):
+def discrete_repr_error_bound(a: CosineSumApprox, B: float, T: float, f_max):
     """Worst-case bound 2 T max|f| max_{|t| <= 2T} |eps_B(2 pi t)| for the
     discrete representation of the band-B projection of a function
-    supported on [-T, T]; eps_B carries the 2B factor.
+    supported on [-T, T]; eps_B carries the 2B factor, and its max is
+    taken over 4001 points of [-2T, 2T].
 
     f_max may be an array of max|f| values: eps_B is then evaluated once
     and one bound is returned per entry.
     """
-    t = np.linspace(-2.0 * T, 2.0 * T, int(grid))
+    t = np.linspace(-2.0 * T, 2.0 * T, 4001)
     x = 2.0 * np.pi * t * (float(B) / a.B0)
     eps = 2.0 * float(B) * np.abs(error_epsilon_B(a, x))
     out = 2.0 * T * np.asarray(f_max, dtype=float) * np.max(eps)
@@ -434,27 +433,23 @@ def patched_sample_points(parts) -> np.ndarray:
                       for A, k in parts])
 
 
-def patched_projection(parts, f, x, bases=None,
-                       regularization: str = "kernel",
-                       mu_min: float = _MU_MIN) -> ProjectionResult:
-    """Sum of per-part transformed reconstructions.
+def patched_projection(parts, f, x) -> ProjectionResult:
+    """Sum of per-part transformed reconstructions, each through the
+    kernel route of ra_sampling_interpolation.
 
     parts is a list of (A_l, kernel_l); the transformed regions must
     overlap only in measure zero (caller's assertion, recorded).  Sample
     values follow the concatenation order of patched_sample_points.
     """
     vals = _samples_at(f, patched_sample_points(parts), "part layout")
-    counts = [len(k.nodes) for _, k in parts]
     out = None
     bound = 0.0
     prov_parts = []
     start = 0
-    for i, (A, kern) in enumerate(parts):
-        seg = vals[start:start + counts[i]]
-        start += counts[i]
-        res = ra_sampling_interpolation(
-            seg, kern, A, x, basis=None if bases is None else bases[i],
-            regularization=regularization, mu_min=mu_min)
+    for A, kern in parts:
+        n = len(kern.nodes)
+        res = ra_sampling_interpolation(vals[start:start + n], kern, A, x)
+        start += n
         out = res.field.values if out is None else out + res.field.values
         bound += res.error_bound
         prov_parts.append(res.provenance)

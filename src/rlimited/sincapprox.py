@@ -212,14 +212,13 @@ def eval_chirplet_sum(c: ChirpletApprox, x):
 _HELPER_SAT_BAND = 6.0
 
 
-def _saturated_cosine_rule(B0: float, M: int,
-                           sat: float = _HELPER_SAT_BAND):
-    """Expanded cosine rule for sinc(B0 x) reducing only down to band sat."""
+def _saturated_cosine_rule(B0: float, M: int):
+    """Expanded cosine rule for sinc(B0 x) reduced only to _HELPER_SAT_BAND."""
     B0 = max(float(B0), 1e-9)
-    if B0 <= sat:
+    if B0 <= _HELPER_SAT_BAND:
         n = 0
     else:
-        n = int(math.ceil(math.log(B0 / sat, 3.0) - 1e-12))
+        n = int(math.ceil(math.log(B0 / _HELPER_SAT_BAND, 3.0) - 1e-12))
     B = B0 / 3 ** n
     base = gauss_legendre_01(M)
     return _expand_levels(np.asarray(base.weights, dtype=float),

@@ -462,14 +462,17 @@ def _profiled(**profile):
                               transform=[[1, "a"], [0, 1]])),
      "region transform must hold"),
     (dict(_CLOUD, region=dict(_CLOUD["region"], transform=[[1]])),
-     "region transform must be 2 x 2")],
+     "region transform must be 2 x 2"),
+    (dict(_profiled(), region={"kind": "triangle",
+                               "params": {"dp": True, "s": 0.7}}),
+     "a triangle region needs finite real numbers > 0")],
     ids=["provenance-int", "error-profile-int", "weights-int", "weights-null",
          "weights-nan", "weights-bool", "nodes-null", "nodes-ragged",
          "nodes-flat", "band-null", "profile-int", "max-err-null",
          "max-err-negative", "box-object", "box-null", "box-one-row",
          "box-3-columns", "grid-n-string", "top-level-box-null",
          "group-object", "group-null", "group-int", "group-row", "group-3x3",
-         "transform-string", "transform-1x1"])
+         "transform-string", "transform-1x1", "region-param-bool"])
 def test_project_malformed_cloud_document_exit_2(tmp_path, capsys, doc,
                                                  match):
     # an int provenance or error_profile raised TypeError (exit 1); null,
@@ -479,7 +482,8 @@ def test_project_malformed_cloud_document_exit_2(tmp_path, capsys, doc,
     # max_err or an object box raised TypeError, a null box IndexError, and
     # a string grid_n was read; a symmetry_group entry {} raised TypeError,
     # and null, 5 or a row were read as matrices; a transform with text or
-    # of the wrong size failed with numpy's text, naming no key
+    # of the wrong size failed with numpy's text, naming no key; a boolean
+    # region parameter read as 1
     kpath = tmp_path / "kernel.json"
     kpath.write_text(json.dumps(doc))
     _line_field(tmp_path / "field.csv")
@@ -539,12 +543,15 @@ def test_quad_region_profile_reads_back_as_measured(tmp_path, capsys, name):
     ["quad", "--preset", "gauss-legendre", "--M", "4", "--grid", "7"],
     ["pswf", "--grid", "5"],
     ["kernel-eval", "--region", "ball", "--seed", "3"],
-    ["project", "--field", "f.csv", "--kernel", "k.json", "--tol", "1"]],
+    ["project", "--field", "f.csv", "--kernel", "k.json", "--tol", "1"],
+    ["verify", "--tol", "1"],
+    ["verify", "--grid", "5"]],
     ids=["quad-tol", "quad-seed", "quad-grid", "pswf-grid",
-         "kernel-eval-seed", "project-tol"])
+         "kernel-eval-seed", "project-tol", "verify-tol", "verify-grid"])
 def test_option_the_command_does_not_read_exit_2(tmp_path, capsys, argv):
     # every subcommand took --grid, --tol and --seed and ignored those it
-    # does not read, with exit 0
+    # does not read, with exit 0; verify read --tol as slack on its bounds
+    # and --grid as two suites' grid sizes
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "o")])
     assert exc.value.code == 2
@@ -579,6 +586,5 @@ def test_main_twice_in_one_process(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--suite", "nyquist", "--out",
                  str(tmp_path / "b")]) == 0
     assert seen == [{"command": "verify", "out": str(tmp_path / "b"),
-                     "grid": None, "suite": ["nyquist"], "tol": None,
-                     "seed": None}]
+                     "suite": ["nyquist"], "seed": None}]
     assert not (tmp_path / "b" / "verify_report.json").exists()

@@ -1,13 +1,14 @@
 """Every artifact document refuses every single-key mutation loudly.
 
 Each document the CLI writes is mutated one key path at a time: the key is
-deleted, or its value replaced by null, 5, "a", [], {} or [1, 2].  A
+deleted, or its value replaced by null, 5, "a", [], {}, [1, 2] or true.  A
 mutated kernel must make `rlimited project` exit 2 with one `error:` line
 and no artifact; a mutated eigenbasis must make eigenbasis_from_json raise
 ValueError.  Mutations that leave a valid document are skipped: a number for
-a number, [1, 2] for a pair of numbers, and deleting (or nulling, where null
-reads as absent) a key README lists as optional.  A provenance subtree other
-than error_profile is ignored: mutating it must leave the output unchanged.
+a number, a boolean for a boolean, [1, 2] for a pair of numbers, and
+deleting (or nulling, where null reads as absent) a key README lists as
+optional.  A provenance subtree other than error_profile is ignored:
+mutating it must leave the output unchanged.
 """
 import json
 
@@ -22,7 +23,7 @@ from rlimited.numkit import PointSet, SampledField, make_grid, \
 from rlimited.projection import expsum_kernel
 
 DELETE = object()
-REPLACEMENTS = (None, 5, "a", [], {}, [1, 2])
+REPLACEMENTS = (None, 5, "a", [], {}, [1, 2], True)
 _ABSENT = {DELETE, None}     # deleting, or null where null reads as absent
 
 # the optional keys of each document (README, "Artifact documents"): the
@@ -60,6 +61,8 @@ def _paths(doc, prefix=()):
 def _leaves_valid(old, new, valid):
     """Whether replacing old by new (DELETE: deleting it) leaves a valid
     document; valid holds the optional key's valid mutations."""
+    if isinstance(new, bool):       # True == 1, yet no number
+        return isinstance(old, bool)
     if new is not DELETE and new == old:
         return True
     if new is DELETE or new is None or new == {}:

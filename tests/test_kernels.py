@@ -344,8 +344,6 @@ def test_k_ball_against_quadrature_oracle():
 def test_preset_specs_geometry():
     eq = K.equilateral_spec()
     assert abs(eq.area - math.sqrt(3) / 4) < 1e-15
-    sub = K.sub_triangle_spec()
-    assert abs(sub.area - eq.area / 9) < 1e-15
     rt = K.regular_tetra_spec()
     assert abs(rt.volume - rt.h ** 3 * rt.dp ** 2 * rt.s / 3) < 1e-15
     st = K.sub_tetra_spec()
@@ -679,6 +677,18 @@ def test_region_json_round_trip():
      "finite real numbers"),
     (lambda: K.Region("cone", (("omega0", 1.0), ("pmax", None), ("n", 2))),
      "finite real numbers"),
+    (lambda: K.region_from_json({"kind": "triangle",
+                                 "params": {"dp": True, "s": 0.7}}),
+     "finite real numbers"),
+    (lambda: K.region_from_json({"kind": "triangle",
+                                 "params": {"dp": 0.8, "s": 0}}),
+     "finite real numbers"),
+    (lambda: K.region_from_json({"kind": "ball", "params": {"k_max": 0}}),
+     "finite real numbers"),
+    (lambda: K.region_from_json({"kind": "cone", "params": {
+        "omega0": 1.0, "pmax": 1.0, "n": 2.5}}), "an int 1, 2 or 3 for n"),
+    (lambda: K.region_from_json({"kind": "cone", "params": {
+        "omega0": 1.0, "pmax": 1.0, "n": 4}}), "an int 1, 2 or 3 for n"),
     (lambda: K.region_from_json([{"kind": "interval"}]),
      "region must be an object"),
     (lambda: K.region_from_json({"kind": ["interval"]}),
@@ -701,6 +711,8 @@ def test_region_json_round_trip():
 ], ids=["unknown-kind", "missing-param", "cone-without-n", "union-no-parts",
         "union-empty", "union-json-no-parts", "union-mixed-dims",
         "json-params-list", "json-param-string", "param-nan", "param-none",
+        "json-param-bool", "json-param-zero", "json-kmax-zero",
+        "json-cone-n-fraction", "json-cone-n-4",
         "json-region-list", "json-kind-list", "json-transform-int",
         "json-transform-row-int", "json-parts-int", "json-part-int",
         "json-symmetric-string", "json-transform-1x1", "transform-2x2-on-3d"])
