@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from functools import lru_cache
@@ -130,7 +131,7 @@ def cmd_quad(args) -> int:
 
 
 def cmd_approx_sinc(args) -> int:
-    xs = np.linspace(-2.0, 2.0, args.grid if args.grid else 2001)
+    xs = np.linspace(-2.0, 2.0, 2001 if args.grid is None else args.grid)
     if args.chirplet:
         ch = build_chirplet_approx(args.B0, args.M)
         err = np.abs(sinc(args.B0 * xs) - eval_chirplet_sum(ch, xs))
@@ -181,7 +182,7 @@ def cmd_pswf(args) -> int:
 
 
 def cmd_kernel_eval(args) -> int:
-    n = args.grid if args.grid else 41
+    n = 41 if args.grid is None else args.grid
     if args.region == "triangle":
         spec = TriangleSpec(args.dp, args.s)
         pts = _grid_points(args.extent, n, 2)
@@ -222,7 +223,7 @@ def _load_kernel(path: str):
 def cmd_project(args) -> int:
     fld = read_field_csv(args.field)
     kern = _load_kernel(args.kernel)
-    if args.grid:
+    if args.grid is not None:
         pts = fld.points.points
         lo, hi = pts.min(axis=0), pts.max(axis=0)
         axes = [np.linspace(a, b, args.grid) for a, b in zip(lo, hi)]
@@ -347,11 +348,24 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_sizes(args) -> None:
+    """--grid, where given, is an int >= 2 (make_grid's rule), and --extent
+    a finite number > 0; ValueError naming the option otherwise."""
+    grid = getattr(args, "grid", None)
+    if grid is not None and grid < 2:
+        raise ValueError("--grid must be an int >= 2, not %d" % grid)
+    extent = getattr(args, "extent", None)
+    if extent is not None and not (math.isfinite(extent) and extent > 0):
+        raise ValueError("--extent must be a finite number > 0, not %r"
+                         % extent)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     # looked up at call time, so a rebound cmd_* (a wrapper) is the one run
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        _check_sizes(args)
         os.makedirs(args.out, exist_ok=True)
         return command(args)
     except (ValueError, KeyError, OSError, OverflowError,

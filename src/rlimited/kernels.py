@@ -224,6 +224,16 @@ class QuadratureND:
         out = out.reshape(lead)
         return complex(out) if lead == () else out
 
+    def eval_grid(self, axes) -> np.ndarray:
+        """The banded sum on the tensor grid of the d 1D arrays axes, with
+        shape tuple(map(len, axes)) in meshgrid "ij" order: eval_sum at
+        those points, contracted one axis at a time (_grid_sum)."""
+        axes = [np.asarray(ax, dtype=float) for ax in axes]
+        d = self.nodes.shape[1]
+        if len(axes) != d or any(ax.ndim != 1 for ax in axes):
+            raise ValueError("a %dD cloud needs %d 1D grid axes" % (d, d))
+        return _grid_sum(self.weights, self.scaled_nodes(), axes)
+
 
 def quadrature_nd_to_json(q: QuadratureND) -> dict:
     """The band is written only when it is not the identity, so cascade
@@ -486,31 +496,38 @@ def _difference_widths(target_box):
     return tuple(float(hi - lo) for lo, hi in target_box)
 
 
-def _error_profile(cloud, exact, box, grid_n: int) -> dict:
-    """max |exact - sum_m w_m e^{i 2 pi k_m.x}| on a grid_n^d tensor grid
-    over box; cloud is (w, k) with k in the grid's coordinates and exact
-    takes the (n, d) grid points in meshgrid "ij" order.
+def _grid_sum(w, k, axes) -> np.ndarray:
+    """sum_m w_m e^{i 2 pi k_m.x} on the tensor grid of axes, with shape
+    tuple(map(len, axes)) in meshgrid "ij" order; k is (N, d) in the axes'
+    coordinates.
 
     e^{i 2 pi k.x} factors over the axes, so the sum is contracted one axis
-    at a time from d factors E_j = e^{i 2 pi x_j k_j} of G x N (G = grid_n,
-    N nodes): E_0 w in 1D, (E_0 w) E_1^T in 2D, and one such product per
-    point of axis 0 in 3D.  That takes d G N exponentials instead of G^d N
-    and O(G N) temporary memory.
+    at a time from d factors E_j = e^{i 2 pi x_j k_j} of G_j x N (N nodes):
+    E_0 w in 1D, (E_0 w) E_1^T in 2D, and one such product per point of
+    axis 0 in 3D.  That takes sum_j G_j N exponentials instead of
+    prod_j G_j N, and O(G N) temporary memory.
     """
-    box = [[float(lo), float(hi)] for lo, hi in box]
-    axes = [np.linspace(lo, hi, grid_n) for lo, hi in box]
-    w, k = cloud
     E = [np.exp(2j * np.pi * np.outer(ax, k[:, j]))
          for j, ax in enumerate(axes)]
     if len(E) == 1:
-        approx = E[0] @ w
-    else:
-        approx = np.empty((grid_n,) * len(E), dtype=complex)
-        for lead in itertools.product(range(grid_n), repeat=len(E) - 2):
-            wl = w
-            for j, i in enumerate(lead):
-                wl = wl * E[j][i]
-            approx[lead] = (E[-2] * wl) @ E[-1].T
+        return E[0] @ w
+    out = np.empty(tuple(len(ax) for ax in axes), dtype=complex)
+    for lead in itertools.product(*map(range, out.shape[:-2])):
+        wl = w
+        for j, i in enumerate(lead):
+            wl = wl * E[j][i]
+        out[lead] = (E[-2] * wl) @ E[-1].T
+    return out
+
+
+def _error_profile(cloud, exact, box, grid_n: int) -> dict:
+    """max |exact - sum_m w_m e^{i 2 pi k_m.x}| on a grid_n^d tensor grid
+    over box; cloud is (w, k) with k in the grid's coordinates and exact
+    takes the (n, d) grid points in meshgrid "ij" order.  The sum is
+    _grid_sum's per-axis contraction."""
+    box = [[float(lo), float(hi)] for lo, hi in box]
+    axes = [np.linspace(lo, hi, grid_n) for lo, hi in box]
+    approx = _grid_sum(*cloud, axes)
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     err = np.max(np.abs(np.asarray(exact(pts)) - approx.ravel()))

@@ -349,9 +349,8 @@ def check_triangle_kernel(seed=None):
     gx = np.linspace(box[0][0], box[0][1], 101)
     gy = np.linspace(box[1][0], box[1][1], 101)
     GX, GY = np.meshgrid(gx, gy, indexing="ij")
-    fine = float(np.max(np.abs(
-        q.eval_sum(np.stack([GX.ravel(), GY.ravel()], axis=-1))
-        - k_triangle(spec, GX.ravel(), GY.ravel()))))
+    fine = float(np.max(np.abs(q.eval_grid((gx, gy)).ravel()
+                               - k_triangle(spec, GX.ravel(), GY.ravel()))))
     rows.append(_row("surrogate within recorded profile (fine regrid)",
                      1.10 * prof["max_err"], fine))
 
@@ -360,9 +359,6 @@ def check_triangle_kernel(seed=None):
     g1 = np.linspace(box[0][0], box[0][1], n_g)
     GX, GY = np.meshgrid(g1, g1, indexing="ij")
     X, Y = GX.ravel(), GY.ravel()
-
-    def surrogate(xv, yv):
-        return q.eval_sum(np.stack([xv, yv], axis=-1))
 
     # the closed form at (+-X, Y) / 2^e, e = 0..5: every level below reads
     # these twelve argument arrays, each evaluated once
@@ -375,8 +371,9 @@ def check_triangle_kernel(seed=None):
     worst_final = 0.0
     for m in range(1, 6):
         sc = 2.0 ** m
-        Vp = surrogate(X / sc, Y / sc)
-        Vm = surrogate(-X / sc, Y / sc)
+        # the surrogate on the tensor grids (+-g1, g1) / sc, raveled as X, Y
+        Vp = q.eval_grid((g1 / sc, g1 / sc)).ravel()
+        Vm = q.eval_grid((-g1 / sc, g1 / sc)).ravel()
         Ep = np.abs(Vp - exact[m][0])
         Em = np.abs(Vm - exact[m][1])
         for j in range(1, m + 1):

@@ -559,6 +559,34 @@ def test_option_the_command_does_not_read_exit_2(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+BAD_SIZES = [(cmd, "--grid", v) for cmd in ("approx-sinc", "kernel-eval",
+                                            "project")
+             for v in ("0", "1", "-3")] \
+    + [("kernel-eval", "--extent", v) for v in ("0", "-1", "nan")]
+
+
+@pytest.mark.parametrize("command, option, value", BAD_SIZES,
+                         ids=["%s%s=%s" % c for c in BAD_SIZES])
+def test_grid_and_extent_out_of_range_exit_2(tmp_path, capsys,
+                                             project_inputs, command, option,
+                                             value):
+    # --grid 0 read as no --grid (2001 points, a 41^2 field, or the field's
+    # own points), --grid 1 ran on one point per axis and --grid -3 exited 2
+    # with numpy's message only; --extent 0 wrote copies of the origin,
+    # --extent -1 a mirrored grid (negative cone radii), --extent nan NaNs
+    fpath, kpath, _ = project_inputs
+    argv = {"approx-sinc": ["approx-sinc", "--M", "4"],
+            "kernel-eval": ["kernel-eval", "--region", "triangle"],
+            "project": ["project", "--field", str(fpath),
+                        "--kernel", str(kpath)]}[command]
+    capsys.readouterr()
+    rc = main(argv + [option, value, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: " + option), err
+    assert not (tmp_path / "o").exists()
+
+
 def test_verify_single_suite(tmp_path, capsys):
     rc = main(["verify", "--suite", "moments", "--out", str(tmp_path)])
     assert rc == 0

@@ -87,6 +87,34 @@ def test_recorded_profile_matches_the_dense_oracle():
         <= 1e-13 * q.weights.sum()
 
 
+GRID_CLOUDS = {
+    "line": lambda: K.QuadratureND(weights=np.array([0.5, 1.5]),
+                                   nodes=np.array([[-0.5], [0.25]]),
+                                   region=K.interval_region(), band=[[2.0]]),
+    "banded-triangle": CLOUDS["banded-triangle"],
+    "ball": CLOUDS["ball"],
+    "tetra-symmetric": CLOUDS["tetra-symmetric"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_CLOUDS))
+def test_eval_grid_matches_dense_eval_sum_at_the_meshgrid_points(name):
+    kern = GRID_CLOUDS[name]()
+    d = kern.nodes.shape[1]
+    # 5 x 7 x 3 points over the off-centre boxes, the last axis negated: a
+    # swapped axis, a wrong ravel order or a dropped sign moves the sum
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(BOX[d], (5, 7, 3))]
+    axes[-1] = -axes[-1]
+    got = kern.eval_grid(axes)
+    assert got.shape == tuple(map(len, axes))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    want = kern.eval_sum(np.stack([m.ravel() for m in mesh], axis=-1))
+    gap = np.max(np.abs(got.ravel() - want))
+    assert gap <= 1e-13 * np.abs(kern.weights).sum(), gap
+    with pytest.raises(ValueError, match="grid axes"):
+        kern.eval_grid(axes[:-1] if d > 1 else axes * 2)
+
+
 def test_3d_measured_profile_memory_is_linear_in_grid_axis():
     # the 31^3 grid of `rlimited project` for a 3D kernel; the dense
     # (29,791 x 12,000) exponential matrix alone would take 5.7 GB

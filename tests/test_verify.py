@@ -168,12 +168,11 @@ def per_iteration_triangle_rows(seed):
     q = triangle_quadrature(spec, 3, 3, target_box=((-W, W), (-W, W)))
     prof = q.provenance["error_profile"]
     box = prof["box"]
-    GX, GY = np.meshgrid(np.linspace(box[0][0], box[0][1], 101),
-                         np.linspace(box[1][0], box[1][1], 101),
-                         indexing="ij")
-    fine = float(np.max(np.abs(
-        q.eval_sum(np.stack([GX.ravel(), GY.ravel()], axis=-1))
-        - k_triangle(spec, GX.ravel(), GY.ravel()))))
+    gx = np.linspace(box[0][0], box[0][1], 101)
+    gy = np.linspace(box[1][0], box[1][1], 101)
+    GX, GY = np.meshgrid(gx, gy, indexing="ij")
+    fine = float(np.max(np.abs(q.eval_grid((gx, gy)).ravel()
+                               - k_triangle(spec, GX.ravel(), GY.ravel()))))
     rows.append(_row("surrogate within recorded profile (fine regrid)",
                      1.10 * prof["max_err"], fine))
     g1 = np.linspace(box[0][0], box[0][1], 41)
@@ -182,8 +181,8 @@ def per_iteration_triangle_rows(seed):
     worst_viol, worst_final = -np.inf, 0.0
     for m in range(1, 6):
         sc = 2.0 ** m
-        Vp = q.eval_sum(np.stack([X / sc, Y / sc], axis=-1))
-        Vm = q.eval_sum(np.stack([-X / sc, Y / sc], axis=-1))
+        Vp = q.eval_grid((g1 / sc, g1 / sc)).ravel()
+        Vm = q.eval_grid((-g1 / sc, g1 / sc)).ravel()
         Ep = np.abs(Vp - k_triangle(spec, X / sc, Y / sc))
         Em = np.abs(Vm - k_triangle(spec, -X / sc, Y / sc))
         for j in range(1, m + 1):
