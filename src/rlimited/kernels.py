@@ -1188,6 +1188,14 @@ def cone_quadrature(spec: ConeSpec, M_w: int, M_p: int, M_t: int,
 # ball
 
 
+# |R| 3 (sin u - u cos u)/u^3 = |R| sum_{k>=1} (-1)^(k+1) 6k u^(2k-2)/(2k+1)!
+# for u <= 0.5, where the direct difference loses up to eps/u^2; eight terms
+# leave out less than 1e-20 at the cut.  Highest power of u^2 first.
+_BALL_CUT = 0.5
+_BALL_SERIES = [(-1) ** (k + 1) * 6.0 * k / math.factorial(2 * k + 1)
+                for k in range(8, 0, -1)]
+
+
 def k_ball(k_max: float, x):
     """Kernel of the radius-k_max ball:
     (sin u - u cos u)/(2 pi^2 r^3) with u = 2 pi k_max r.
@@ -1198,12 +1206,12 @@ def k_ball(k_max: float, x):
     _require_positive(k_max=k_max)
     r = _spatial_radius(x, 3)
     u = 2.0 * np.pi * k_max * np.asarray(r, dtype=float)
-    small = np.abs(u) <= _DQ_CUT
+    small = np.abs(u) <= _BALL_CUT
     us = np.where(small, 1.0, u)
     rs = np.where(small, 1.0, r)
     direct = (np.sin(us) - us * np.cos(us)) / (2.0 * np.pi ** 2 * rs ** 3)
     vol = 4.0 * np.pi * k_max ** 3 / 3.0
-    series = vol * (1.0 - u * u / 10.0 + u ** 4 / 280.0)
+    series = vol * np.polyval(_BALL_SERIES, u * u)
     out = np.where(small, series, direct).astype(complex)
     return _scalar(out)
 

@@ -47,15 +47,17 @@ class EigenBasis:
 
 def _order_and_fix(mu: np.ndarray, lam: np.ndarray, vecs: np.ndarray):
     """Descending mu; ties by ascending dominant-component index; the
-    dominant component of each column is rotated to the positive real axis."""
-    vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
+    dominant component of each column is rotated to the positive real axis.
+    Normalizes and rotates vecs in place."""
+    vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
     dom = np.argmax(np.abs(vecs), axis=0)
     order = np.lexsort((dom, -mu))
-    mu, lam, vecs, dom = mu[order], lam[order], vecs[:, order], dom[order]
+    mu, lam, dom = mu[order], lam[order], dom[order]
+    vecs = np.take(vecs, order, axis=1)
     piv = vecs[dom, np.arange(vecs.shape[1])]
     # hypot, as scalar abs(); np.abs of a complex array can differ by 1 ulp
     mag = np.hypot(piv.real, piv.imag)
-    vecs = vecs * np.where(mag > 0, np.conj(piv) / mag, 1)
+    vecs *= np.where(mag > 0, np.conj(piv) / mag, 1)  # real when vecs is
     if not np.iscomplexobj(lam):
         lam = lam.astype(complex)
     return mu, lam, vecs
@@ -92,10 +94,10 @@ def _solve(blocks, scale: float, quadrature, band, kernel_system: bool,
     than _MU_EXCESS_TOL above 1 raises ValueError: the rule under-resolves
     the band.
     """
-    mus, lams, vecs = [], [], []
+    mus, lams, lifted = [], [], []
     for M_hat, d, unit, lift in blocks:
         ev, psi = np.linalg.eigh(M_hat)
-        ev, psi = ev[::-1].copy(), psi[:, ::-1].copy()
+        ev = ev[::-1].copy()
         if kernel_system:
             mu, lam = ev, np.sqrt(np.maximum(ev, 0.0) / scale)
         else:
@@ -103,9 +105,11 @@ def _solve(blocks, scale: float, quadrature, band, kernel_system: bool,
             mu = scale * np.abs(lam) ** 2
         mus.append(mu)
         lams.append(lam)
-        vecs.append(lift(psi / d[:, None]))
+        lifted.append(lift(psi[:, ::-1] / d[:, None]))
+    vecs = np.hstack(lifted)
+    del lifted, psi  # vecs is the one copy of the eigenvectors from here on
     mu, lam, vecs = _order_and_fix(np.concatenate(mus), np.concatenate(lams),
-                                   np.hstack(vecs))
+                                   vecs)
     if len(mu) and mu[0] - 1.0 > _MU_EXCESS_TOL:
         raise ValueError("under-resolved rule: top mu %.12g exceeds 1 by more "
                          "than %g; use more nodes or a smaller band"
@@ -199,8 +203,29 @@ def pswf_kernel_eigensystem(q: Quadrature1D, B: float) -> EigenBasis:
 @dataclass
 class ProlateEvaluator:
     """Holds the basis that extend_prolate extends; the basis kind picks
-    the extension formula."""
+    the extension formula.
+
+    It also keeps one grid's tables, those of the last t it extended on,
+    so a loop over modes on one grid builds each table once.  The exp
+    route keeps cos and sin of 2 pi B t p over the half-rule, up to
+    2 len(t) h doubles; the kernel route 2B sinc(2 pi B (t - w)) over the
+    rule, len(t) N doubles.  A new grid replaces them, and so does a basis
+    that is not the same object: grids are told apart by shape and exact
+    bits, so -0.0 is not 0.0 and a t changed in place is a new grid.
+    """
     basis: EigenBasis
+    # (basis, t.shape, t.tobytes(), {route: table}), replaced as one tuple
+    # so that concurrent calls each read one consistent slot
+    _slot: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def _table(self, b: EigenBasis, t: np.ndarray, route, build):
+        """Basis b's table for the route on grid t: kept, or build()."""
+        slot, key = self._slot, (t.shape, t.tobytes())
+        if slot is None or slot[0] is not b or slot[1:3] != key:
+            slot = self._slot = (b, *key, {})
+        if route not in slot[3]:
+            slot[3][route] = build()
+        return slot[3][route]
 
 
 def extend_prolate(ev: ProlateEvaluator, n: int, t, mu_min: float = 1e-8):
@@ -219,7 +244,8 @@ def extend_prolate(ev: ProlateEvaluator, n: int, t, mu_min: float = 1e-8):
 
     Error amplification goes as 1/mu_n, so eigenpairs below mu_min are
     refused rather than silently extended.  Both routes return complex
-    values.
+    values.  The checks run on every call; the trig or sinc table comes
+    from ev when t is the grid of its last call (see ProlateEvaluator).
     """
     b = ev.basis
     if not isinstance(b.quadrature, Quadrature1D):
@@ -253,12 +279,14 @@ def extend_prolate(ev: ProlateEvaluator, n: int, t, mu_min: float = 1e-8):
         else:
             raise ValueError("phi_%d is neither exactly even nor exactly "
                              "odd%s" % (n, _REBUILD))
-        out = trig(2.0 * np.pi * B * t[..., None] * p) @ (a * phi[h:]) \
-            * (unit / (B * lam))
+        table = ev._table(
+            b, t, trig, lambda: trig(2.0 * np.pi * B * t[..., None] * p))
+        out = table @ (a * phi[h:]) * (unit / (B * lam))
     else:
         a = np.asarray(b.quadrature.weights, dtype=float)
         om = np.asarray(b.quadrature.nodes, dtype=float)
-        kern = 2.0 * B * sinc(2.0 * np.pi * B * (t[..., None] - om))
+        kern = ev._table(b, t, sinc, lambda: 2.0 * B * sinc(
+            2.0 * np.pi * B * (t[..., None] - om)))
         out = kern @ (a * phi) / (B * mu)
     # complex on both routes, also for real eigenvectors and a scalar t
     return _scalar(np.asarray(out, dtype=complex))

@@ -5,8 +5,8 @@ Each switch is probed just below and just above its cut: both sides must
 match an mpmath value of the defining integral, and so agree with each
 other.  The references integrate the region slice by slice (a sinc across
 the wedge, a ball or a segment per cone frequency) rather than reusing
-the closed forms.  Also K(-x) = conj K(x) and K(0) = |R| for each
-closed form.
+the closed forms.  The ball kernel is swept over shells across its cut.
+Also K(-x) = conj K(x) and K(0) = |R| for each closed form.
 """
 import math
 
@@ -79,6 +79,15 @@ def mp_cone(spec, t, r):
                                    [0, mp.mpf(spec.omega0)]))
 
 
+def mp_ball(k_max, x):
+    # (sin u - u cos u)/(2 pi^2 r^3), u = 2 pi k_max r, at 40 digits: the
+    # difference cancels to u^3/3, which costs 15 of them at u = 1e-5
+    with mp.workdps(40):
+        r = mp.sqrt(sum(mp.mpf(float(c)) ** 2 for c in np.atleast_1d(x)))
+        u = 2 * mp.pi * mp.mpf(k_max) * r
+        return float((mp.sin(u) - u * mp.cos(u)) / (2 * mp.pi ** 2 * r ** 3))
+
+
 def mp_tilde(spec, rule, t, r):
     # the surrogate's sinc form, summed with 30 digits so the small-r
     # cancellation costs nothing
@@ -143,6 +152,25 @@ def test_cone_3_half_cut(t):
     _check_cut(lambda *p: K.k_cone(CONE3, *p),
                lambda *p: mp_cone(CONE3, *p),
                [(t, rc * BELOW)], [(t, rc * ABOVE)], SERIES_TOL, 1e-13)
+
+
+@pytest.mark.parametrize("k_max", [1.0, 0.37])
+def test_ball_shell_sweep(k_max):
+    # shells u = 2 pi k_max |x| from 1e-5 to 1, on both sides of the 0.5
+    # series cut, as radii and as 3D points, a third of them squeezed
+    # toward a coordinate plane
+    rng = np.random.default_rng(11)
+    u = np.geomspace(1e-5, 1.0, 61)
+    r = u / (TWO_PI * k_max)
+    d = rng.normal(size=(len(r), 3))
+    d[::3, rng.integers(0, 3)] *= 1e-6
+    pts = r[:, None] * d / np.linalg.norm(d, axis=1, keepdims=True)
+    vol = 4.0 * math.pi * k_max ** 3 / 3.0
+    for x in (r, pts):          # radii, and points along the last axis
+        want = [mp_ball(k_max, xi) for xi in x]
+        err = np.abs(K.k_ball(k_max, x) - want)
+        assert np.max(err) <= 1e-13 * vol, (x[np.argmax(err)],
+                                            np.max(err) / vol)
 
 
 @pytest.mark.parametrize("y,z", [(0.2, 0.3), (-0.35, -0.4)])
