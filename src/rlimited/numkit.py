@@ -203,7 +203,9 @@ def grid_axes(points: np.ndarray):
         # a gap above 1e-9 max(1, |v|) starts a new coordinate; less is fuzz
         new = np.diff(v, prepend=-np.inf) > 1e-9 * np.maximum(1.0, np.abs(v))
         axes.append(v[new])
-        idx.append((np.cumsum(new) - 1)[np.argsort(order)])
+        pos = np.empty_like(order)
+        pos[order] = np.cumsum(new) - 1     # back to the points' row order
+        idx.append(pos)
     slot = np.ravel_multi_index(idx, [len(a) for a in axes])
     filled = np.bincount(slot, minlength=int(np.prod([len(a) for a in axes])))
     if not len(pts) or np.any(filled != 1):

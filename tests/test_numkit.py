@@ -218,6 +218,19 @@ def test_make_grid_and_axes():
         grid_axes(pts.points[:-1])      # not a full tensor grid
 
 
+@pytest.mark.parametrize("counts", [(161, 161), (7, 5, 3)],
+                         ids=["161x161", "7x5x3"])
+def test_grid_axes_of_a_shuffled_grid(counts):
+    # each shuffled point's slot is its row in make_grid's row-major order
+    lo, hi = [-0.3, 0.1, -2.0][:len(counts)], [0.3, 0.9, 5.0][:len(counts)]
+    pts = make_grid(lo, hi, counts).points
+    perm = np.random.default_rng(1).permutation(len(pts))
+    axes, slot = grid_axes(pts[perm])
+    assert np.array_equal(slot, perm)
+    for ax, a, b, n in zip(axes, lo, hi, counts):
+        assert np.array_equal(ax, np.linspace(a, b, n))
+
+
 @pytest.mark.parametrize("pts", [
     [(0, 0), (0, 1), (1, 0), (0, 0)],              # (0,0) twice, (1,1) empty
     [(0, 0), (0, 1), (1, 0), (1, 0)],

@@ -1,18 +1,26 @@
-"""Verify-suite oracles against independent references, and the suites
-that evaluate each oracle value once against their per-iteration route."""
+"""Verify-suite oracles against independent references, the suites that
+build each table once against their per-iteration route, and NaN
+measurements failing their rows."""
+from math import lgamma, log
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from rlimited import kernels, verify
-from rlimited.kernels import (TriangleSpec, k_triangle, triangle_quadrature,
+from rlimited.kernels import (ConeSpec, TriangleSpec, k_cone, k_triangle,
+                              tilde_k_cone, triangle_quadrature,
                               triangle_scaling_refine)
+from rlimited.moments import (chebyshev_rule_for_j0, gauss_legendre_01,
+                              preset_moments, solve_moment_problem)
 from rlimited.numkit import SampledField, make_grid
 from rlimited.projection import (bandlimited_projection_oracle,
                                  discrete_fourier_repr_1d,
                                  discrete_repr_error_bound, expsum_kernel,
                                  rlimited_discrete_fourier)
 from rlimited.sincapprox import build_sinc_cosine_approx, frequency_rule
-from rlimited.verify import (_cosine_profile, _interval_projection, _row,
+from rlimited.verify import (_cosine_f, _cosine_fhat, _cosine_profile,
+                             _cosines, _interval_projection, _row,
                              _wedge_projection)
 
 B = 2.0
@@ -23,10 +31,10 @@ SPEC = TriangleSpec(0.8, 0.7)
 def test_interval_oracle_matches_adaptive_quad():
     ts = np.linspace(-1.0, 1.0, 41)
     rng = np.random.default_rng(11)       # the projection suite's profiles
-    for _ in range(3):
-        f, _, _ = _cosine_profile(rng)
-        got = _interval_projection(f, B, ts)
-        ref = bandlimited_projection_oracle(f, B, ts)
+    profiles = [_cosine_profile(rng) for _ in range(3)]
+    for terms, got in zip(profiles, _interval_projection(profiles, B, ts)):
+        ref = bandlimited_projection_oracle(
+            lambda s: _cosine_f(terms, s, _cosines([terms], s)), B, ts)
         assert np.max(np.abs(got - ref)) <= 5e-15
 
 
@@ -34,13 +42,9 @@ def test_interval_oracle_matches_mpmath():
     import mpmath
 
     ts = (-1.0, -0.35, 0.0, 1.0)
-    for cs, ks in (((0.7, -1.3, 0.4), (0, 3, 6)), ((1.1, 0.5), (2, 5))):
-        def f(s):
-            s = np.asarray(s, dtype=float)
-            out = sum(c * np.cos(np.pi * k * s) for c, k in zip(cs, ks))
-            return np.where(np.abs(s) <= 1.0, out, 0.0)
-
-        got = _interval_projection(f, B, np.array(ts))
+    profiles = [((0.7, -1.3, 0.4), (0, 3, 6)), ((1.1, 0.5), (2, 5))]
+    rows = _interval_projection(profiles, B, np.array(ts))
+    for (cs, ks), got in zip(profiles, rows):
         with mpmath.workdps(30):
             for t, g in zip(ts, got):
                 def h(s):
@@ -126,9 +130,14 @@ def per_iteration_projection_rows(seed):
     ts = np.linspace(-T, T, 41)
     worst_ratio = 0.0
     for _ in range(20):
-        f, fhat, f_max = _cosine_profile(rng)
-        vals = discrete_fourier_repr_1d(fhat(B * q.nodes), q, B, ts)
-        err = float(np.max(np.abs(vals - _interval_projection(f, B, ts))))
+        terms = _cosine_profile(rng)
+        t_max = np.linspace(-1, 1, 2001)
+        f_max = float(np.max(np.abs(_cosine_f(terms, t_max,
+                                              _cosines([terms], t_max)))))
+        vals = discrete_fourier_repr_1d(_cosine_fhat(terms, B * q.nodes),
+                                        q, B, ts)
+        oracle = _interval_projection([terms], B, ts)[0]
+        err = float(np.max(np.abs(vals - oracle)))
         worst_ratio = max(worst_ratio,
                           err / discrete_repr_error_bound(a, B, T, f_max))
     rows = [_row("interval projection error within bound (x20)",
@@ -204,6 +213,52 @@ def per_iteration_triangle_rows(seed):
     return rows
 
 
+def per_iteration_moment_rows():
+    """The moment suite's rows as its per-iteration route made them: one
+    np.sum per moment, 2,112 in all."""
+    worst_gl = 0.0
+    for M in range(1, 33):
+        q = gauss_legendre_01(M)
+        for n in range(2 * M):
+            h = float(np.sum(q.weights * q.nodes ** (2 * n)))
+            worst_gl = max(worst_gl, abs(h - 1.0 / (2 * n + 1)))
+    worst_ch = 0.0
+    for M in range(1, 33):
+        q = chebyshev_rule_for_j0(M)
+        for n in range(2 * M):
+            target = np.exp(lgamma(2 * n + 1) - 2 * (n * log(2.0)
+                                                     + lgamma(n + 1)))
+            h = float(np.sum(q.weights * q.nodes ** (2 * n)))
+            worst_ch = max(worst_ch, abs(h - target))
+    return [_row("half-gauss-legendre even moments", 1e-13, worst_gl),
+            _row("cosine-power even moments", 1e-13, worst_ch)]
+
+
+def per_iteration_cone_window_row():
+    """The cone-ball suite's windowed row as its per-iteration route made
+    it: k_cone and tilde_k_cone called once per time, 21 points each."""
+    spec = ConeSpec(1.0, 1.0, 2)
+    rule = solve_moment_problem(preset_moments("j1_cosinc", 1.0, 11), 6)
+    T_w = R_w = 6.0
+    nt = nr = 21
+    ts = np.linspace(0.0, T_w, nt)
+    rs = np.linspace(R_w / nr, R_w, nr)
+    err2 = np.empty((nt, nr))
+    for i, t in enumerate(ts):
+        Ko = k_cone(spec, np.full(nr, t), rs)
+        Ks = tilde_k_cone(spec, rule, np.full(nr, t), rs)
+        err2[i] = np.abs(Ko - Ks) ** 2
+    wt = np.ones(nt)
+    wt[0] = wt[-1] = 0.5
+    wt *= T_w / (nt - 1)
+    wr = np.ones(nr)
+    wr[0] = wr[-1] = 0.5
+    wr *= (R_w - R_w / nr) / (nr - 1)
+    window = 2.0 * float(np.einsum("i,j,ij->", wt, wr * 2 * np.pi * rs, err2))
+    return _row("windowed squared error within level (x1.05)",
+                1.05 * kernels.cone_ls_error(spec, rule), window)
+
+
 _BUILDERS = ("equilateral_symmetric_quadrature",
              "tetra_symmetric_quadrature", "cone_quadrature",
              "ball_quadrature")
@@ -240,6 +295,14 @@ def test_projection_and_triangle_rows_match_the_per_iteration_route(seed):
             == per_iteration_triangle_rows(seed))
 
 
+def test_moment_and_cone_window_rows_match_the_per_iteration_route():
+    assert (without_runtime(verify.check_moment_exactness())
+            == per_iteration_moment_rows())
+    window = per_iteration_cone_window_row()
+    assert [r for r in verify.check_cone_ball()
+            if r["name"] == window["name"]] == [window]
+
+
 @pytest.mark.parametrize("suite", ["symmetry", "cone-ball"])
 @pytest.mark.parametrize("seed", [None, 7919])
 def test_profile_free_rows_match_the_profiled_route(monkeypatch, suite,
@@ -260,3 +323,43 @@ def test_triangle_suite_evaluates_each_closed_form_argument_once(
     calls = counting(monkeypatch, verify, "k_triangle")
     verify.check_triangle_kernel()
     assert len(calls) <= 16, len(calls)
+
+
+# ------------------------------------------ a NaN measurement fails its row
+
+def poisoned_on_third_call(monkeypatch, name, poison):
+    """Make verify.<name> hand back poison(its result) on its third call."""
+    fn = getattr(verify, name)
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        out = fn(*args, **kwargs)
+        return poison(out) if len(calls) == 3 else out
+    monkeypatch.setattr(verify, name, wrapped)
+
+
+def nan_like(values):
+    return np.full_like(values, np.nan)
+
+
+@pytest.mark.parametrize("suite, name, poison, row", [
+    ("projection", "discrete_fourier_repr_1d", nan_like,
+     "interval projection error within bound (x20)"),
+    ("nyquist", "nyquist_delta_train_check",
+     lambda rep: {**rep, "max_abs_error": float("nan")},
+     "delta-train lattice reconstruction"),
+    ("lattice", "error_epsilon_B", nan_like,
+     "error lattice match across bands"),
+    ("moments", "gauss_legendre_01",
+     lambda q: SimpleNamespace(nodes=q.nodes, weights=nan_like(q.weights)),
+     "half-gauss-legendre even moments"),
+], ids=["interval", "nyquist", "lattice", "moments"])
+def test_a_nan_measurement_fails_its_row(monkeypatch, suite, name, poison,
+                                         row):
+    # the builtin max keeps its running value when a later one is NaN,
+    # which read each of these rows as a pass
+    poisoned_on_third_call(monkeypatch, name, poison)
+    got = [r for r in verify.SUITES[suite]() if r["name"] == row]
+    assert len(got) == 1
+    assert np.isnan(got[0]["value_measured"]) and got[0]["pass"] is False
